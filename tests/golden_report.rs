@@ -1,7 +1,10 @@
-//! Golden-master snapshots: four canonical runs (ideal, net-chaos,
-//! sensor-chaos, churn-fleet) serialized — report + final metrics
-//! registry — through `eecs_core::jsonio` and compared byte-for-byte
-//! against checked-in `tests/golden/*.json`.
+//! Golden-master snapshots: seven canonical runs (ideal, net-chaos,
+//! sensor-chaos, churn-fleet, and the failover, partition-heal and
+//! quarantine paths) serialized — report + final metrics registry —
+//! through `eecs_core::jsonio` and compared byte-for-byte against
+//! checked-in `tests/golden/*.json`. The CRC32 of each run's full trace
+//! is pinned in `tests/golden/trace_crc.json`, so a reordered event
+//! fails even when the report and metrics are unchanged.
 //!
 //! Regenerate after an intentional behavior change with:
 //!
@@ -13,13 +16,21 @@
 //! execution and must produce the same bytes — the snapshot doubles as
 //! the determinism regression net for the telemetry layer.
 
+use eecs::core::checkpoint::CheckpointFaultPlan;
 use eecs::core::config::EecsConfig;
-use eecs::core::simulation::{OperatingMode, Parallelism, Simulation, SimulationConfig};
+use eecs::core::jsonio::Json;
+use eecs::core::simulation::{
+    OperatingMode, Parallelism, Simulation, SimulationConfig, SimulationReport,
+};
 use eecs::core::telemetry::summary::golden_document;
 use eecs::core::telemetry::Telemetry;
 use eecs::detect::bank::DetectorBank;
+use eecs::detect::health::HealthPolicy;
 use eecs::energy::profile::DeviceProfile;
-use eecs::net::fault::{ChurnPlan, ControllerFaultPlan, FaultPlan, LinkFaults};
+use eecs::net::checksum::crc32;
+use eecs::net::fault::{
+    ChurnPlan, ControllerFaultPlan, CorruptionPlan, Endpoint, FaultPlan, LinkFaults, PartitionPlan,
+};
 use eecs::scene::dataset::{DatasetId, DatasetProfile};
 use eecs::scene::sensor_fault::{SensorFaultPlan, SensorImpairments};
 use std::path::PathBuf;
@@ -29,38 +40,44 @@ use std::sync::OnceLock;
 /// is evicted, so the trace comparisons see the whole run.
 const TRACE_CAPACITY: usize = 4096;
 
+/// The miniature-lab mission every scenario starts from: `cameras`
+/// cameras over frames `40..end_frame` under full EECS.
+fn base_config(cameras: usize, end_frame: usize) -> SimulationConfig {
+    let mut profile = DatasetProfile::miniature(DatasetId::Lab);
+    profile.num_people = 4;
+    let eecs = EecsConfig {
+        assessment_period: 10,
+        recalibration_interval: 30,
+        key_frames: 8,
+        ..EecsConfig::default()
+    };
+    SimulationConfig {
+        profile,
+        cameras,
+        start_frame: 40,
+        end_frame,
+        budget_j_per_frame: 10.0,
+        mode: OperatingMode::FullEecs,
+        eecs,
+        feature_words: 12,
+        max_training_frames: 8,
+        boost_every: 0,
+        fault_plan: FaultPlan::ideal(),
+        sensor_plan: SensorFaultPlan::ideal(),
+        controller_plan: ControllerFaultPlan::none(),
+        parallel: Parallelism::default(),
+    }
+}
+
+fn prepare(config: SimulationConfig) -> Simulation {
+    static BANK: OnceLock<DetectorBank> = OnceLock::new();
+    let bank = BANK.get_or_init(|| DetectorBank::train_quick(42).expect("bank"));
+    Simulation::prepare(bank.clone(), config).expect("prepare")
+}
+
 fn base_simulation() -> &'static Simulation {
     static SIM: OnceLock<Simulation> = OnceLock::new();
-    SIM.get_or_init(|| {
-        let mut profile = DatasetProfile::miniature(DatasetId::Lab);
-        profile.num_people = 4;
-        let eecs = EecsConfig {
-            assessment_period: 10,
-            recalibration_interval: 30,
-            key_frames: 8,
-            ..EecsConfig::default()
-        };
-        Simulation::prepare(
-            DetectorBank::train_quick(42).expect("bank"),
-            SimulationConfig {
-                profile,
-                cameras: 2,
-                start_frame: 40,
-                end_frame: 100,
-                budget_j_per_frame: 10.0,
-                mode: OperatingMode::FullEecs,
-                eecs,
-                feature_words: 12,
-                max_training_frames: 8,
-                boost_every: 0,
-                fault_plan: FaultPlan::ideal(),
-                sensor_plan: SensorFaultPlan::ideal(),
-                controller_plan: ControllerFaultPlan::none(),
-                parallel: Parallelism::default(),
-            },
-        )
-        .expect("prepare")
-    })
+    SIM.get_or_init(|| prepare(base_config(2, 100)))
 }
 
 /// Heterogeneous fleet under churn: three distinct device profiles,
@@ -68,45 +85,66 @@ fn base_simulation() -> &'static Simulation {
 fn churn_fleet_simulation() -> &'static Simulation {
     static SIM: OnceLock<Simulation> = OnceLock::new();
     SIM.get_or_init(|| {
-        let mut profile = DatasetProfile::miniature(DatasetId::Lab);
-        profile.num_people = 4;
-        let eecs = EecsConfig {
-            assessment_period: 10,
-            recalibration_interval: 30,
-            key_frames: 8,
-            ..EecsConfig::default()
-        };
-        Simulation::prepare(
-            DetectorBank::train_quick(42).expect("bank"),
-            SimulationConfig {
-                profile,
-                cameras: 3,
-                start_frame: 40,
-                end_frame: 160,
-                budget_j_per_frame: 10.0,
-                mode: OperatingMode::FullEecs,
-                eecs,
-                feature_words: 12,
-                max_training_frames: 8,
-                boost_every: 0,
-                fault_plan: FaultPlan::ideal(),
-                sensor_plan: SensorFaultPlan::ideal(),
-                controller_plan: ControllerFaultPlan::none(),
-                parallel: Parallelism::default(),
-            },
-        )
-        .expect("prepare")
-        .with_fleet(vec![
-            DeviceProfile::flagship(),
-            DeviceProfile::midrange(),
-            DeviceProfile::lowend(),
-        ])
-        .expect("fleet")
-        .with_churn(ChurnPlan::seeded(13).with_leave(2, 1, 3))
+        prepare(base_config(3, 160))
+            .with_fleet(vec![
+                DeviceProfile::flagship(),
+                DeviceProfile::midrange(),
+                DeviceProfile::lowend(),
+            ])
+            .expect("fleet")
+            .with_churn(ChurnPlan::seeded(13).with_leave(2, 1, 3))
     })
 }
 
-/// The four canonical scenarios, with fixed seeds.
+/// The 2-camera base under a detection cap low enough that the harsh
+/// sensor plan's noisy frames trip the health checks: the quarantine
+/// strike path. The health policy is part of the prepared config, so this
+/// scenario needs its own `prepare`.
+fn quarantine_simulation() -> &'static Simulation {
+    static SIM: OnceLock<Simulation> = OnceLock::new();
+    SIM.get_or_init(|| {
+        let mut config = base_config(2, 100);
+        config.eecs.health = HealthPolicy {
+            max_detections: 12,
+            ..HealthPolicy::lenient()
+        };
+        config.sensor_plan = sensor_chaos_plan();
+        prepare(config)
+    })
+}
+
+/// The churn-fleet rig without churn, over lossy corrupting links: the
+/// base of the failover and partition-heal scenarios.
+fn chaos_fleet(partition: PartitionPlan, controller: ControllerFaultPlan) -> Simulation {
+    churn_fleet_simulation()
+        .with_churn(ChurnPlan::ideal())
+        .with_faults(
+            FaultPlan::seeded(17)
+                .with_default_faults(LinkFaults::lossy(0.1))
+                .with_corruption(CorruptionPlan::with_rate(0.3))
+                .with_partition(partition),
+            SensorFaultPlan::ideal(),
+            controller,
+        )
+}
+
+fn sensor_chaos_plan() -> SensorFaultPlan {
+    SensorFaultPlan::seeded(11)
+        .with_default_impairments(SensorImpairments::harsh())
+        .with_occlusion(1, 40, 100, 0.25)
+}
+
+/// The seven canonical scenarios, with fixed seeds.
+const SCENARIOS: [&str; 7] = [
+    "ideal",
+    "net_chaos",
+    "sensor_chaos",
+    "churn_fleet",
+    "failover_rot",
+    "partition_heal",
+    "quarantine",
+];
+
 fn scenario(name: &str) -> Simulation {
     let base = base_simulation();
     match name {
@@ -118,12 +156,31 @@ fn scenario(name: &str) -> Simulation {
         ),
         "sensor_chaos" => base.with_faults(
             FaultPlan::ideal(),
-            SensorFaultPlan::seeded(11)
-                .with_default_impairments(SensorImpairments::harsh())
-                .with_occlusion(1, 40, 100, 0.25),
+            sensor_chaos_plan(),
             ControllerFaultPlan::none(),
         ),
         "churn_fleet" => churn_fleet_simulation().clone(),
+        // Controller crash at round 2 whose restore finds the newest
+        // checkpoint generation rotted: one failover, one rollback.
+        "failover_rot" => chaos_fleet(
+            PartitionPlan::none(),
+            ControllerFaultPlan::none().with_crash(2, 3),
+        )
+        .with_checkpoint_faults(CheckpointFaultPlan::seeded(5).with_bit_rot(3)),
+        // The hub side keeps cameras 0 and 1; camera 2 is orphaned over
+        // rounds [1, 3), elects itself, and is reconciled on heal.
+        "partition_heal" => chaos_fleet(
+            PartitionPlan::none().with_split(
+                vec![
+                    vec![Endpoint::Hub, Endpoint::Camera(0), Endpoint::Camera(1)],
+                    vec![Endpoint::Camera(2)],
+                ],
+                1,
+                3,
+            ),
+            ControllerFaultPlan::none(),
+        ),
+        "quarantine" => quarantine_simulation().clone(),
         other => panic!("unknown scenario {other}"),
     }
 }
@@ -135,8 +192,8 @@ fn golden_path(name: &str) -> PathBuf {
 }
 
 /// Runs one scenario under the given parallelism with a fresh recording
-/// telemetry handle; returns `(golden document, full trace JSON)`.
-fn run_scenario(name: &str, parallel: Parallelism) -> (String, String) {
+/// telemetry handle; returns `(report, golden document, full trace JSON)`.
+fn run_scenario(name: &str, parallel: Parallelism) -> (SimulationReport, String, String) {
     let tel = Telemetry::recording(TRACE_CAPACITY);
     let sim = scenario(name)
         .with_telemetry(tel.clone())
@@ -149,15 +206,59 @@ fn run_scenario(name: &str, parallel: Parallelism) -> (String, String) {
         0,
         "{name}: raise TRACE_CAPACITY, the recorder overflowed"
     );
-    (doc, trace)
+    (report, doc, trace)
+}
+
+/// Compares `actual` byte-for-byte with `tests/golden/<name>.json`, or
+/// rewrites that file under `EECS_BLESS=1`.
+fn check_golden(name: &str, actual: &str) {
+    let path = golden_path(name);
+    if std::env::var_os("EECS_BLESS").is_some_and(|v| v == "1") {
+        std::fs::create_dir_all(path.parent().expect("parent")).expect("mkdir");
+        std::fs::write(&path, actual).expect("write golden");
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "{}: {e}\nrun `EECS_BLESS=1 cargo test --test golden_report` to generate",
+            path.display()
+        )
+    });
+    assert_eq!(
+        actual, expected,
+        "{name}: golden mismatch — if the change is intentional, re-bless with \
+         EECS_BLESS=1 cargo test --test golden_report"
+    );
+}
+
+/// The path each recovery scenario exists to pin must actually fire —
+/// otherwise its golden would silently stop covering it.
+fn assert_reaches_its_path(name: &str, report: &SimulationReport) {
+    match name {
+        "failover_rot" => {
+            assert_eq!(report.failovers.len(), 1, "{name}: failovers");
+            assert_eq!(report.checkpoint_rollbacks, 1, "{name}: rollbacks");
+        }
+        "partition_heal" => {
+            assert_eq!(report.partitions, 1, "{name}: partitions");
+            assert_eq!(report.elections, 1, "{name}: elections");
+            assert_eq!(report.reconciliations, 1, "{name}: reconciliations");
+            assert_eq!(report.split_brain_rounds, 2, "{name}: split-brain rounds");
+        }
+        "quarantine" => {
+            assert_eq!(report.quarantine_strikes, 10, "{name}: strikes");
+            assert_eq!(report.dropped_frames, 3, "{name}: dropped frames");
+        }
+        _ => {}
+    }
 }
 
 #[test]
 fn golden_reports_match_byte_for_byte() {
-    let bless = std::env::var_os("EECS_BLESS").is_some_and(|v| v == "1");
-    for name in ["ideal", "net_chaos", "sensor_chaos", "churn_fleet"] {
-        let (serial_doc, serial_trace) = run_scenario(name, Parallelism::serial());
-        let (parallel_doc, parallel_trace) = run_scenario(name, Parallelism::default());
+    let mut trace_crcs = Vec::new();
+    for name in SCENARIOS {
+        let (report, serial_doc, serial_trace) = run_scenario(name, Parallelism::serial());
+        let (_, parallel_doc, parallel_trace) = run_scenario(name, Parallelism::default());
 
         // Same seed + config ⇒ same bytes, regardless of worker count.
         assert_eq!(
@@ -172,29 +273,19 @@ fn golden_reports_match_byte_for_byte() {
         let reparsed = eecs::core::jsonio::parse(&serial_doc).expect("valid JSON");
         assert_eq!(reparsed.write().expect("re-encode"), serial_doc);
 
-        let path = golden_path(name);
-        if bless {
-            std::fs::create_dir_all(path.parent().expect("parent")).expect("mkdir");
-            std::fs::write(&path, &serial_doc).expect("write golden");
-            continue;
-        }
-        let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "{}: {e}\nrun `EECS_BLESS=1 cargo test --test golden_report` to generate",
-                path.display()
-            )
-        });
-        assert_eq!(
-            serial_doc, expected,
-            "{name}: golden mismatch — if the change is intentional, re-bless with \
-             EECS_BLESS=1 cargo test --test golden_report"
-        );
+        assert_reaches_its_path(name, &report);
+        check_golden(name, &serial_doc);
+        trace_crcs.push((
+            name.to_string(),
+            Json::Num(f64::from(crc32(serial_trace.as_bytes()))),
+        ));
     }
+    // The report and metrics do not see event order; the trace does.
+    check_golden("trace_crc", &Json::Obj(trace_crcs).write().expect("encode"));
 }
 
 /// The 3×2 (fault-seed × budget) micro-sweep behind `sweep_tiny.json`.
 fn tiny_sweep_shard() -> eecs_bench::sweep::Shard<'static> {
-    use eecs::core::jsonio::Json;
     let spec = eecs_bench::sweep::SweepSpec::new("sweep_tiny")
         .axis("fault_seed", ["1", "2", "3"])
         .axis("budget", ["9.0", "12.0"]);
@@ -253,23 +344,7 @@ fn golden_sweep_tiny_matches_byte_for_byte() {
     let reparsed = eecs::core::jsonio::parse(&serial).expect("valid JSON");
     assert_eq!(reparsed.write().expect("re-encode"), serial);
 
-    let path = golden_path("sweep_tiny");
-    if std::env::var_os("EECS_BLESS").is_some_and(|v| v == "1") {
-        std::fs::create_dir_all(path.parent().expect("parent")).expect("mkdir");
-        std::fs::write(&path, &serial).expect("write golden");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "{}: {e}\nrun `EECS_BLESS=1 cargo test --test golden_report` to generate",
-            path.display()
-        )
-    });
-    assert_eq!(
-        serial, expected,
-        "sweep_tiny: golden mismatch — if the change is intentional, re-bless with \
-         EECS_BLESS=1 cargo test --test golden_report"
-    );
+    check_golden("sweep_tiny", &serial);
 }
 
 #[test]
@@ -315,32 +390,15 @@ fn null_telemetry_is_bit_identical_to_untelemetered_runs() {
 #[test]
 #[ignore]
 fn telemetry_soak_bounded_memory_and_determinism() {
-    let mut profile = DatasetProfile::miniature(DatasetId::Lab);
-    profile.num_people = 4;
-    let eecs = EecsConfig {
-        assessment_period: 10,
-        recalibration_interval: 30,
-        key_frames: 8,
-        ..EecsConfig::default()
-    };
     let sim = Simulation::prepare(
         DetectorBank::train_quick(23).expect("bank"),
         SimulationConfig {
-            profile,
-            cameras: 4,
-            start_frame: 40,
-            end_frame: 160,
             budget_j_per_frame: 5.0,
-            mode: OperatingMode::FullEecs,
-            eecs,
-            feature_words: 12,
-            max_training_frames: 8,
-            boost_every: 0,
             fault_plan: FaultPlan::seeded(42).with_default_faults(LinkFaults::lossy(0.2)),
             sensor_plan: SensorFaultPlan::seeded(42)
                 .with_default_impairments(SensorImpairments::harsh()),
             controller_plan: ControllerFaultPlan::none().with_crash(1, 2),
-            parallel: Parallelism::default(),
+            ..base_config(4, 160)
         },
     )
     .expect("prepare");
