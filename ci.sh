@@ -9,6 +9,11 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release --workspace --all-targets
 
+echo "==> perfbench build (public API the benchmark harness uses)"
+# perfbench is a package outside the workspace, so a break in the crate
+# API it calls would otherwise surface only when the benchmark runs.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test"
 cargo test -q --workspace
 

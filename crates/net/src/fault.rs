@@ -580,8 +580,9 @@ impl Default for FaultPlan {
 /// Where [`FaultPlan`] kills cameras and links, this plan kills the hub:
 /// at the first round of each window the currently acting controller
 /// dies mid-round. The runtime reacts by failing over — every camera
-/// burns a probe discovering the silence, the highest-battery camera is
-/// elected, and selection state is restored from the latest checkpoint.
+/// burns a probe discovering the silence, the camera that has spent the
+/// least energy is elected, and selection state is restored from the
+/// latest checkpoint.
 /// Once a camera holds the controller seat it keeps it (no failback);
 /// later windows crash *that* controller in turn, so a multi-window plan
 /// produces a chain of handovers.
