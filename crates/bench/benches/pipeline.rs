@@ -20,14 +20,17 @@ use eecs_core::metadata::{CameraReport, ObjectMetadata};
 use eecs_core::reid::{fuse_reports, ReidConfig};
 use eecs_core::simulation::{OperatingMode, Parallelism, Simulation, SimulationConfig};
 use eecs_detect::bank::DetectorBank;
+use eecs_detect::c4_detector::census_transform;
 use eecs_detect::detection::BBox;
 use eecs_detect::pyramid::ScaleSchedule;
-use eecs_detect::{Detector, FrameFeatures};
+use eecs_detect::{CensusCodePlane, Detector, FrameFeatures};
 use eecs_geometry::calibration::{landmark_grid, GroundCalibration};
 use eecs_geometry::camera::Camera;
 use eecs_geometry::point::{Point2, Point3};
 use eecs_scene::dataset::{DatasetId, DatasetProfile};
 use eecs_scene::sequence::VideoFeed;
+use eecs_vision::image::GrayImage;
+use eecs_vision::resize::{resize_gray, resize_gray_reference};
 
 fn reid_bench(c: &mut Criterion) {
     // 4 cameras × 8 people per frame.
@@ -98,7 +101,8 @@ fn detect_bench(c: &mut Criterion) {
 
 /// Per-kernel microbenches: the optimized detect path against the kept
 /// pre-optimization reference of each algorithm, plus precompute-only and
-/// cached-scan slices of the C4 pipeline. Before any timing, each pair is
+/// cached-scan slices of the C4 pipeline and the census and resize
+/// kernels against their oracles. Before any timing, each pair is
 /// asserted bit-identical on the bench frame, so a speedup can never be
 /// reported for a path that drifted. Returns the C4 cascade reject ratio
 /// (computed outside the timing loops).
@@ -186,6 +190,60 @@ fn kernel_bench(c: &mut Criterion) -> f64 {
     let _ = bank.c4().detect_with_cache(&frame, &warmed);
     group.bench_function("c4_scan_cached", |b| {
         b.iter(|| black_box(bank.c4().detect_with_cache(black_box(&frame), &warmed)))
+    });
+    // The shared kernels under the C4 precompute, each against its oracle
+    // on the C4 pyramid of the bench frame: census codes straight from a
+    // level vs the f32 census transform then the cast, and the tap-table
+    // resize vs per-pixel bilinear sampling (frame → internal → levels).
+    let (iw, ih) = (c4_cfg.internal_w, c4_cfg.internal_h);
+    let gray = frame.to_gray();
+    let level_dims: Vec<(usize, usize)> = c4_cfg
+        .scales
+        .usable_scales(iw, ih)
+        .into_iter()
+        .map(|scale| ScaleSchedule::level_dims(scale, iw, ih))
+        .collect();
+    let resize_all = |resize: fn(&GrayImage, usize, usize) -> eecs_vision::Result<GrayImage>| {
+        let internal = resize(&gray, iw, ih).expect("internal resize");
+        let levels: Vec<GrayImage> = level_dims
+            .iter()
+            .map(|&(sw, sh)| resize(&internal, sw, sh).expect("level resize"))
+            .collect();
+        (internal, levels)
+    };
+    assert!(
+        resize_all(resize_gray) == resize_all(resize_gray_reference),
+        "resize: pixels diverged from reference"
+    );
+    let (_, levels) = resize_all(resize_gray);
+    for level in &levels {
+        assert_eq!(
+            CensusCodePlane::census(level),
+            CensusCodePlane::from_census(&census_transform(level)),
+            "census: codes diverged from reference"
+        );
+    }
+    group.bench_function("census_optimized", |b| {
+        b.iter(|| {
+            for level in &levels {
+                black_box(CensusCodePlane::census(black_box(level)));
+            }
+        })
+    });
+    group.bench_function("census_reference", |b| {
+        b.iter(|| {
+            for level in &levels {
+                black_box(CensusCodePlane::from_census(&census_transform(black_box(
+                    level,
+                ))));
+            }
+        })
+    });
+    group.bench_function("resize_optimized", |b| {
+        b.iter(|| black_box(resize_all(resize_gray)))
+    });
+    group.bench_function("resize_reference", |b| {
+        b.iter(|| black_box(resize_all(resize_gray_reference)))
     });
     group.finish();
 
@@ -507,7 +565,7 @@ fn main() {
     // Kernel speedups: optimized vs reference of the SAME run — the ratio
     // is host-independent, which is what lets `check_bench --baseline`
     // compare it across runs where absolute ns are incomparable.
-    for alg in ["c4", "hog", "lsvm", "acf"] {
+    for alg in ["c4", "hog", "lsvm", "acf", "census", "resize"] {
         let opt = c
             .mean_ns(&format!("kernels/{alg}_optimized"))
             .expect("kernel optimized ran")

@@ -31,6 +31,11 @@ pub const C4_FEATURE_DIM: usize = TILES_X * TILES_Y * CENSUS_BINS;
 /// Pixels per tile (used by the direct scoring fast path).
 const TILE_PIXELS: f64 = ((WINDOW_W / TILES_X) * (WINDOW_H / TILES_Y)) as f64;
 
+/// Horizontally adjacent windows the scan scores together. Each lane keeps
+/// its own accumulator, so eight independent add chains overlap instead
+/// of one window's ~768 dependent adds running back to back.
+const LANES: usize = 8;
+
 /// Rows accumulated before the early-reject bound is first consulted: the
 /// head rows alone rarely decide a window, so checking earlier only adds
 /// branch overhead.
@@ -327,6 +332,91 @@ impl C4Detector {
         Some(acc / TILE_PIXELS + self.svm.bias())
     }
 
+    /// [`C4Detector::scan_window`] for the `LANES` windows at
+    /// `x0, x0 + stride, …` of row `y0`, scored side by side.
+    ///
+    /// Lane `l` equals `scan_window(codes, x0 + l·stride, y0)` bit for bit:
+    /// it owns its accumulator (no partial sum is shared across lanes) and
+    /// adds its window's weights in the reference order, rows top to
+    /// bottom and columns left to right. After each row every lane takes
+    /// the same reject test; a rejected lane stays `None` (its accumulator
+    /// runs on unread), and the group stops once every lane is rejected.
+    fn scan_lanes(
+        &self,
+        codes: &CensusCodePlane,
+        x0: usize,
+        stride: usize,
+        y0: usize,
+    ) -> [Option<f64>; LANES] {
+        let w = self.svm.weights();
+        let t = &self.scan;
+        let mut acc = [0.0f64; LANES];
+        let mut rejected = [false; LANES];
+        for y in 0..WINDOW_H {
+            let base = t.row_off[y];
+            // Fixed-size tiles and lane rows: `u8` codes index the
+            // 256-entry tiles and `x < WINDOW_W` indexes the rows, so the
+            // inner loop carries no bounds checks.
+            let tiles: [&[f64; CENSUS_BINS]; TILES_X] = std::array::from_fn(|tx| {
+                let start = base + tx * CENSUS_BINS;
+                w[start..start + CENSUS_BINS].try_into().unwrap()
+            });
+            let span = codes.row(x0, y0 + y, (LANES - 1) * stride + WINDOW_W);
+            let rows: [&[u8; WINDOW_W]; LANES] = std::array::from_fn(|l| {
+                span[l * stride..l * stride + WINDOW_W].try_into().unwrap()
+            });
+            for x in 0..WINDOW_W {
+                let tile = tiles[x / (WINDOW_W / TILES_X)];
+                for (a, row) in acc.iter_mut().zip(&rows) {
+                    *a += tile[row[x] as usize];
+                }
+            }
+            let next = y + 1;
+            if (CASCADE_WARMUP_ROWS..WINDOW_H).contains(&next) {
+                for (r, a) in rejected.iter_mut().zip(&acc) {
+                    *r |= a + t.remaining[next] < t.acc_floor;
+                }
+                if rejected.iter().all(|&r| r) {
+                    return [None; LANES];
+                }
+            }
+        }
+        std::array::from_fn(|l| (!rejected[l]).then(|| acc[l] / TILE_PIXELS + self.svm.bias()))
+    }
+
+    /// Scans every window of one census level in the reference order (rows
+    /// of windows top to bottom, left to right within a row) and hands each
+    /// `(x0, y0, scan_window result)` to `visit`. Full groups of `LANES`
+    /// windows go through [`C4Detector::scan_lanes`]; the row's tail
+    /// windows through [`C4Detector::scan_window`].
+    fn scan_level(
+        &self,
+        codes: &CensusCodePlane,
+        mut visit: impl FnMut(usize, usize, Option<f64>),
+    ) {
+        let (sw, sh) = (codes.width(), codes.height());
+        if sw < WINDOW_W || sh < WINDOW_H {
+            return;
+        }
+        let stride = self.config.stride.max(1);
+        let per_row = (sw - WINDOW_W) / stride + 1;
+        let grouped = per_row - per_row % LANES;
+        for y0 in (0..=sh - WINDOW_H).step_by(stride) {
+            for x0 in (0..grouped).step_by(LANES).map(|i| i * stride) {
+                for (l, score) in self
+                    .scan_lanes(codes, x0, stride, y0)
+                    .into_iter()
+                    .enumerate()
+                {
+                    visit(x0 + l * stride, y0, score);
+                }
+            }
+            for x0 in (grouped..per_row).map(|i| i * stride) {
+                visit(x0, y0, self.scan_window(codes, x0, y0));
+            }
+        }
+    }
+
     /// The pre-optimization detection loop, kept verbatim (fresh cache,
     /// reference scorer, allocating NMS) as the equivalence oracle for
     /// `detect`: same detections, same scores, same `ops`.
@@ -397,19 +487,10 @@ impl C4Detector {
             let Ok(codes) = cache.census_codes(iw, ih, sw, sh) else {
                 continue;
             };
-            let stride = self.config.stride.max(1);
-            let mut y0 = 0;
-            while y0 + WINDOW_H <= sh {
-                let mut x0 = 0;
-                while x0 + WINDOW_W <= sw {
-                    windows += 1;
-                    if self.scan_window(&codes, x0, y0).is_none() {
-                        rejected += 1;
-                    }
-                    x0 += stride;
-                }
-                y0 += stride;
-            }
+            self.scan_level(&codes, |_, _, score| {
+                windows += 1;
+                rejected += u64::from(score.is_none());
+            });
         }
         (windows, rejected)
     }
@@ -526,37 +607,28 @@ impl Detector for C4Detector {
                 continue;
             };
             ops += (sw * sh) as u64 * 9; // resize + 8-comparison census
-            let stride = self.config.stride.max(1);
-            let mut y0 = 0;
-            while y0 + WINDOW_H <= sh {
-                let mut x0 = 0;
-                while x0 + WINDOW_W <= sw {
-                    // Direct scoring: because the census histogram is a
-                    // (normalized) count vector, w·h(x) folds into one
-                    // weight lookup per window pixel. The modeled cost is
-                    // the full window regardless of early rejection — the
-                    // cascade is a host-simulation speedup, not a change to
-                    // the camera's energy model.
-                    ops += (WINDOW_W * WINDOW_H) as u64;
-                    if let Some(score) = self.scan_window(&codes, x0, y0) {
-                        if score >= self.config.keep_floor {
-                            let ox0 = x0 as f64 / scale * fx;
-                            let oy0 = y0 as f64 / scale * fy;
-                            candidates.push(Detection {
-                                bbox: BBox::new(
-                                    ox0,
-                                    oy0,
-                                    ox0 + WINDOW_W as f64 / scale * fx,
-                                    oy0 + WINDOW_H as f64 / scale * fy,
-                                ),
-                                score,
-                            });
-                        }
-                    }
-                    x0 += stride;
+            self.scan_level(&codes, |x0, y0, score| {
+                // Direct scoring: because the census histogram is a
+                // (normalized) count vector, w·h(x) folds into one weight
+                // lookup per window pixel. The modeled cost is the full
+                // window regardless of early rejection — the cascade is a
+                // host-simulation speedup, not a change to the camera's
+                // energy model.
+                ops += (WINDOW_W * WINDOW_H) as u64;
+                if let Some(score) = score.filter(|&s| s >= self.config.keep_floor) {
+                    let ox0 = x0 as f64 / scale * fx;
+                    let oy0 = y0 as f64 / scale * fy;
+                    candidates.push(Detection {
+                        bbox: BBox::new(
+                            ox0,
+                            oy0,
+                            ox0 + WINDOW_W as f64 / scale * fx,
+                            oy0 + WINDOW_H as f64 / scale * fy,
+                        ),
+                        score,
+                    });
                 }
-                y0 += stride;
-            }
+            });
         }
         nms_in_place(&mut candidates, self.config.nms_iou);
         DetectionOutput {
@@ -732,6 +804,44 @@ mod tests {
             }
         }
         assert!(accepted + rejected > 0);
+    }
+
+    /// Every lane of a group equals the single-window scan of its window,
+    /// at every stride, including lanes the group kept scanning after
+    /// rejecting them.
+    #[test]
+    fn scan_lanes_match_scan_window() {
+        use crate::kernels::CensusCodePlane;
+        use rand::RngExt;
+        let mut rng = StdRng::seed_from_u64(78);
+        let weights: Vec<f64> = (0..C4_FEATURE_DIM)
+            .map(|_| rng.random_range(-1.0..1.0))
+            .collect();
+        let config = C4DetectorConfig {
+            keep_floor: 0.3,
+            ..quick_config()
+        };
+        let det = C4Detector::from_svm(config, LinearSvm::from_parts(weights, 0.05)).unwrap();
+        let img = GrayImage::from_fn(64, 60, |_, _| rng.random_range(0.0..1.0f32));
+        let codes = CensusCodePlane::census(&img);
+        let (mut kept, mut dropped) = (0, 0);
+        for stride in 1..=4 {
+            for x0 in 0..=64 - WINDOW_W - (LANES - 1) * stride {
+                for y0 in [0, 5, 12] {
+                    let lanes = det.scan_lanes(&codes, x0, stride, y0);
+                    for (l, got) in lanes.into_iter().enumerate() {
+                        let want = det.scan_window(&codes, x0 + l * stride, y0);
+                        assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
+                        if got.is_some() {
+                            kept += 1;
+                        } else {
+                            dropped += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(kept > 0 && dropped > 0, "kept {kept}, dropped {dropped}");
     }
 
     #[test]

@@ -268,8 +268,7 @@ impl<'a> FrameFeatures<'a> {
         if let Some(hit) = self.census_levels.lock().unwrap().get(&key) {
             return Ok(hit.clone());
         }
-        let internal = self.resized_gray(internal_w, internal_h)?;
-        let level = resize_gray(&internal, w, h)?;
+        let level = self.c4_level(internal_w, internal_h, w, h)?;
         let census = Arc::new(census_transform(&level));
         Ok(self
             .census_levels
@@ -281,9 +280,11 @@ impl<'a> FrameFeatures<'a> {
     }
 
     /// The `u8` code plane of the census level keyed exactly like
-    /// [`FrameFeatures::census_level`]: each code is
-    /// `(pixel as usize).min(255)`, the cast the reference scorer applies
-    /// per window pixel, materialized once per level.
+    /// [`FrameFeatures::census_level`]: each code equals
+    /// `(pixel as usize).min(255)` of that level, the cast the reference
+    /// scorer applies per window pixel. Built straight from the resized
+    /// level by [`CensusCodePlane::census`], so the `f32` census image is
+    /// neither built nor cached on this path.
     ///
     /// # Errors
     ///
@@ -300,8 +301,8 @@ impl<'a> FrameFeatures<'a> {
         if let Some(hit) = self.census_codes.lock().unwrap().get(&key) {
             return Ok(hit.clone());
         }
-        let census = self.census_level(internal_w, internal_h, w, h)?;
-        let plane = Arc::new(CensusCodePlane::from_census(&census));
+        let level = self.c4_level(internal_w, internal_h, w, h)?;
+        let plane = Arc::new(CensusCodePlane::census(&level));
         Ok(self
             .census_codes
             .lock()
@@ -309,6 +310,18 @@ impl<'a> FrameFeatures<'a> {
             .entry(key)
             .or_insert(plane)
             .clone())
+    }
+
+    /// The `w × h` level resized through the `internal_w × internal_h`
+    /// image (uncached: only its census products are kept).
+    fn c4_level(
+        &self,
+        internal_w: usize,
+        internal_h: usize,
+        w: usize,
+        h: usize,
+    ) -> VisionResult<GrayImage> {
+        resize_gray(&*self.resized_gray(internal_w, internal_h)?, w, h)
     }
 }
 

@@ -1,13 +1,15 @@
 //! Shared kernel-optimization primitives for the detector hot paths.
 //!
-//! The sliding-window scans dominate the whole simulator (BENCH_pipeline:
-//! C4 alone was ~90 ms/frame before this layer). Two constant-factor sinks
-//! recur across all four detectors:
+//! The sliding-window scans dominate the whole simulator: C4 is the
+//! costliest detector (about 50 ms per miniature frame on a 2-core x86
+//! host before the lane scan, about 25 ms after). Two constant-factor
+//! sinks recur across all four detectors:
 //!
 //! 1. **Redundant per-window recomputation** — every pixel of a census
 //!    level was re-fetched as `f32` and re-cast/clamped to a code by each
 //!    of the ~(W/stride)·(H/stride) overlapping windows covering it.
-//!    [`CensusCodePlane`] materializes the cast once per level.
+//!    [`CensusCodePlane::census`] writes each level's codes once, straight
+//!    from the level's pixels.
 //! 2. **Per-window allocations** — HOG descriptors, census histograms and
 //!    NMS buffers were freshly `Vec`-allocated in the innermost loops.
 //!    [`DetectScratch`] owns those buffers; detectors check one out of the
@@ -21,7 +23,7 @@
 
 use eecs_vision::image::GrayImage;
 
-use crate::c4_detector::CENSUS_BINS as CODE_BINS;
+use crate::c4_detector::{CENSUS_BINS as CODE_BINS, CENSUS_MARGIN};
 
 /// A census level as a dense `u8` code plane.
 ///
@@ -49,6 +51,42 @@ impl CensusCodePlane {
         CensusCodePlane {
             width: census.width(),
             height: census.height(),
+            codes,
+        }
+    }
+
+    /// The census transform of `level`, built straight into codes: equal
+    /// to `CensusCodePlane::from_census(&census_transform(level))` without
+    /// the intermediate `f32` image.
+    ///
+    /// Each pixel evaluates the same eight `f32` tests
+    /// `n < c - CENSUS_MARGIN` against the same clamp-to-edge neighbours,
+    /// setting bits in the same order (row above left to right, then left,
+    /// right, then row below left to right). Codes fit in 8 bits, so the
+    /// `(code as usize).min(255)` cast of `from_census` is the identity.
+    pub fn census(level: &GrayImage) -> CensusCodePlane {
+        let (w, h) = (level.width(), level.height());
+        let mut codes = Vec::with_capacity(w * h);
+        for y in 0..h {
+            let (up, mid, dn) = (
+                level.row(y.saturating_sub(1)),
+                level.row(y),
+                level.row((y + 1).min(h - 1)),
+            );
+            for x in 0..w {
+                let (l, r) = (x.saturating_sub(1), (x + 1).min(w - 1));
+                let t = mid[x] - CENSUS_MARGIN;
+                let neighbours = [up[l], up[x], up[r], mid[l], mid[r], dn[l], dn[x], dn[r]];
+                let code = neighbours
+                    .iter()
+                    .enumerate()
+                    .fold(0u8, |code, (bit, &n)| code | (u8::from(n < t) << bit));
+                codes.push(code);
+            }
+        }
+        CensusCodePlane {
+            width: w,
+            height: h,
             codes,
         }
     }

@@ -19,26 +19,29 @@ impl GradientField {
     pub fn compute(img: &GrayImage) -> GradientField {
         let w = img.width();
         let h = img.height();
-        let mut magnitude = GrayImage::new(w, h);
-        let mut orientation = GrayImage::new(w, h);
+        let mut magnitude = Vec::with_capacity(w * h);
+        let mut orientation = Vec::with_capacity(w * h);
         for y in 0..h {
+            // The three clamped rows of the 3×3 stencil; columns clamp the
+            // same way, so each tap is the pixel `get_clamped` would read.
+            let (up, mid, dn) = (
+                img.row(y.saturating_sub(1)),
+                img.row(y),
+                img.row((y + 1).min(h - 1)),
+            );
             for x in 0..w {
-                let (gx, gy) = sobel_at(img, x as isize, y as isize);
-                let mag = (gx * gx + gy * gy).sqrt();
-                let mut theta = (gy).atan2(gx); // [-π, π]
-                if theta < 0.0 {
-                    theta += std::f32::consts::PI; // unsigned: [0, π)
-                }
-                if theta >= std::f32::consts::PI {
-                    theta -= std::f32::consts::PI;
-                }
-                magnitude.set(x, y, mag);
-                orientation.set(x, y, theta);
+                let (l, r) = (x.saturating_sub(1), (x + 1).min(w - 1));
+                // Same terms in the same order as the per-pixel stencil.
+                let gx = (up[r] + 2.0 * mid[r] + dn[r]) - (up[l] + 2.0 * mid[l] + dn[l]);
+                let gy = (dn[l] + 2.0 * dn[x] + dn[r]) - (up[l] + 2.0 * up[x] + up[r]);
+                let (mag, theta) = polar(gx, gy);
+                magnitude.push(mag);
+                orientation.push(theta);
             }
         }
         GradientField {
-            magnitude,
-            orientation,
+            magnitude: GrayImage::from_vec(w, h, magnitude),
+            orientation: GrayImage::from_vec(w, h, orientation),
         }
     }
 
@@ -56,12 +59,17 @@ impl GradientField {
     }
 }
 
-/// Sobel response at a pixel, clamped borders. Returns `(gx, gy)`.
-fn sobel_at(img: &GrayImage, x: isize, y: isize) -> (f32, f32) {
-    let p = |dx: isize, dy: isize| img.get_clamped(x + dx, y + dy);
-    let gx = (p(1, -1) + 2.0 * p(1, 0) + p(1, 1)) - (p(-1, -1) + 2.0 * p(-1, 0) + p(-1, 1));
-    let gy = (p(-1, 1) + 2.0 * p(0, 1) + p(1, 1)) - (p(-1, -1) + 2.0 * p(0, -1) + p(1, -1));
-    (gx, gy)
+/// Magnitude and unsigned orientation (`[0, π)`) of the gradient `(gx, gy)`.
+fn polar(gx: f32, gy: f32) -> (f32, f32) {
+    let mag = (gx * gx + gy * gy).sqrt();
+    let mut theta = (gy).atan2(gx); // [-π, π]
+    if theta < 0.0 {
+        theta += std::f32::consts::PI; // unsigned: [0, π)
+    }
+    if theta >= std::f32::consts::PI {
+        theta -= std::f32::consts::PI;
+    }
+    (mag, theta)
 }
 
 /// Sum of gradient magnitude over the whole image — a cheap "edge energy"
@@ -74,6 +82,32 @@ pub fn edge_energy(img: &GrayImage) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Sobel response at a pixel, clamped borders. Returns `(gx, gy)`.
+    fn sobel_at(img: &GrayImage, x: isize, y: isize) -> (f32, f32) {
+        let p = |dx: isize, dy: isize| img.get_clamped(x + dx, y + dy);
+        let gx = (p(1, -1) + 2.0 * p(1, 0) + p(1, 1)) - (p(-1, -1) + 2.0 * p(-1, 0) + p(-1, 1));
+        let gy = (p(-1, 1) + 2.0 * p(0, 1) + p(1, 1)) - (p(-1, -1) + 2.0 * p(0, -1) + p(1, -1));
+        (gx, gy)
+    }
+
+    /// The row-slice stencil equals the per-pixel `get_clamped` stencil bit
+    /// for bit, borders and degenerate 1-pixel-wide/high images included.
+    #[test]
+    fn compute_matches_per_pixel_stencil() {
+        for (w, h) in [(1, 1), (1, 7), (9, 1), (2, 2), (13, 11)] {
+            let img = GrayImage::from_fn(w, h, |x, y| ((x * 37 + y * 101) % 53) as f32 / 53.0);
+            let g = GradientField::compute(&img);
+            for y in 0..h {
+                for x in 0..w {
+                    let (gx, gy) = sobel_at(&img, x as isize, y as isize);
+                    let (mag, theta) = polar(gx, gy);
+                    assert_eq!(g.magnitude.get(x, y).to_bits(), mag.to_bits());
+                    assert_eq!(g.orientation.get(x, y).to_bits(), theta.to_bits());
+                }
+            }
+        }
+    }
 
     #[test]
     fn flat_image_has_zero_gradient() {

@@ -83,6 +83,16 @@ impl GrayImage {
         &self.data
     }
 
+    /// The pixels of row `y`, left to right.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `y` is outside the image.
+    #[inline]
+    pub fn row(&self, y: usize) -> &[f32] {
+        &self.data[y * self.width..(y + 1) * self.width]
+    }
+
     /// Mutable raw pixel slice.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data

@@ -11,6 +11,36 @@ use crate::{Result, VisionError};
 /// Returns [`VisionError::InvalidArgument`] if either target dimension is
 /// zero or the source image is empty.
 pub fn resize_gray(src: &GrayImage, new_w: usize, new_h: usize) -> Result<GrayImage> {
+    check_resize(src, new_w, new_h)?;
+    // Identity resize is exact under center-aligned bilinear sampling
+    // (fx = x, so every tap lands on the source pixel): skip the sampling
+    // loop entirely.
+    if new_w == src.width() && new_h == src.height() {
+        return Ok(src.clone());
+    }
+    // Each output column (row) samples the same two source columns (rows)
+    // with the same weight, so the taps are resolved once per axis and the
+    // inner loop only reads four pixels out of two row slices. Every tap
+    // uses the exact `f32` expressions of `bilinear`, so outputs are
+    // bit-identical to the per-pixel form (`resize_gray_reference`).
+    let cols = taps(src.width(), new_w);
+    let rows = taps(src.height(), new_h);
+    let mut data = Vec::with_capacity(new_w * new_h);
+    for &(y0, y1, ty) in &rows {
+        let (top_row, bot_row) = (src.row(y0), src.row(y1));
+        data.extend(cols.iter().map(|&(x0, x1, tx)| {
+            let (p00, p10) = (top_row[x0], top_row[x1]);
+            let (p01, p11) = (bot_row[x0], bot_row[x1]);
+            let top = p00 + tx * (p10 - p00);
+            let bot = p01 + tx * (p11 - p01);
+            top + ty * (bot - top)
+        }));
+    }
+    Ok(GrayImage::from_vec(new_w, new_h, data))
+}
+
+/// The argument checks shared by both resize paths.
+fn check_resize(src: &GrayImage, new_w: usize, new_h: usize) -> Result<()> {
     if new_w == 0 || new_h == 0 {
         return Err(VisionError::InvalidArgument(
             "target dimensions must be positive".into(),
@@ -19,27 +49,46 @@ pub fn resize_gray(src: &GrayImage, new_w: usize, new_h: usize) -> Result<GrayIm
     if src.width() == 0 || src.height() == 0 {
         return Err(VisionError::InvalidArgument("empty source image".into()));
     }
-    // Identity resize is exact under center-aligned bilinear sampling
-    // (fx = x, so every tap lands on the source pixel): skip the sampling
-    // loop entirely.
-    if new_w == src.width() && new_h == src.height() {
-        return Ok(src.clone());
-    }
+    Ok(())
+}
+
+/// One axis of the bilinear tap table: for each of the `dst` output
+/// positions, the clamped source indices `(i0, i1)` and the weight `t` of
+/// `i1`, computed exactly as [`bilinear`] computes them per pixel.
+fn taps(src: usize, dst: usize) -> Vec<(usize, usize, f32)> {
+    let s = src as f32 / dst as f32;
+    let last = src as isize - 1;
+    (0..dst)
+        .map(|i| {
+            let f = (i as f32 + 0.5) * s - 0.5;
+            let i0 = f.floor() as isize;
+            let t = f - i0 as f32;
+            (
+                i0.clamp(0, last) as usize,
+                (i0 + 1).clamp(0, last) as usize,
+                t,
+            )
+        })
+        .collect()
+}
+
+/// The per-pixel form of [`resize_gray`]: every output pixel evaluates its
+/// own sample position and four clamped taps. Kept as the oracle
+/// the tap-table path must match bit for bit (and as the reference side of
+/// the resize kernel benchmark).
+///
+/// # Errors
+///
+/// Same conditions as [`resize_gray`].
+pub fn resize_gray_reference(src: &GrayImage, new_w: usize, new_h: usize) -> Result<GrayImage> {
+    check_resize(src, new_w, new_h)?;
     let sx = src.width() as f32 / new_w as f32;
     let sy = src.height() as f32 / new_h as f32;
-    // Sample positions depend on one axis each; computing them once per
-    // row/column instead of per pixel keeps the inner loop to the four
-    // taps. Same arithmetic as the per-pixel form, so outputs are
-    // bit-identical.
-    let xs: Vec<f32> = (0..new_w).map(|x| (x as f32 + 0.5) * sx - 0.5).collect();
-    let mut data = Vec::with_capacity(new_w * new_h);
-    for y in 0..new_h {
+    Ok(GrayImage::from_fn(new_w, new_h, |x, y| {
+        let fx = (x as f32 + 0.5) * sx - 0.5;
         let fy = (y as f32 + 0.5) * sy - 0.5;
-        for &fx in &xs {
-            data.push(bilinear(src, fx, fy));
-        }
-    }
-    Ok(GrayImage::from_vec(new_w, new_h, data))
+        bilinear(src, fx, fy)
+    }))
 }
 
 /// Resizes an RGB image channel-wise.

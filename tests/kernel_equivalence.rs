@@ -14,15 +14,25 @@
 //! conservative remaining-contribution bound may only reject windows whose
 //! true score is below `keep_floor` — a rejected window must never be one
 //! the reference path would have kept.
+//!
+//! The shared kernels under the detectors have their own oracles: census
+//! codes built straight from a level equal the `f32` census transform
+//! cast to codes, the tap-table resize equals per-pixel bilinear sampling,
+//! and the C4 lane scan (eight windows per pass, single-window tails)
+//! equals the window-at-a-time scan at every row length and stride.
 
-use eecs::detect::c4_detector::{C4Detector, C4DetectorConfig, C4_FEATURE_DIM};
+use eecs::detect::c4_detector::{
+    census_transform, C4Detector, C4DetectorConfig, C4_FEATURE_DIM, CENSUS_MARGIN,
+};
 use eecs::detect::hog_detector::{HogDetectorConfig, HogSvmDetector};
 use eecs::detect::lsvm_detector::{LsvmDetector, LsvmDetectorConfig};
 use eecs::detect::pyramid::ScaleSchedule;
-use eecs::detect::{CensusCodePlane, DetectionOutput, Detector, DetectorBank};
+use eecs::detect::pyramid::{WINDOW_H, WINDOW_W};
+use eecs::detect::{CensusCodePlane, DetectionOutput, Detector, DetectorBank, FrameFeatures};
 use eecs::learn::svm::LinearSvm;
 use eecs::vision::draw;
 use eecs::vision::image::{GrayImage, RgbImage};
+use eecs::vision::resize::{resize_gray, resize_gray_reference};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -262,6 +272,137 @@ proptest! {
         let det = bank().acf();
         let frame = random_frame(seed, 120, 100);
         assert_bit_identical(&det.detect(&frame), &det.detect_reference(&frame));
+    }
+}
+
+/// A random `w × h` level in `[0, 1)` where about a third of the pixels
+/// sit exactly `CENSUS_MARGIN` below their left neighbour, so the census
+/// test `n < c - CENSUS_MARGIN` meets its boundary (equal, not below).
+fn threshold_level(rng: &mut StdRng, w: usize, h: usize) -> GrayImage {
+    let mut level = GrayImage::new(w, h);
+    for y in 0..h {
+        for x in 0..w {
+            let v = if x > 0 && rng.random_bool(0.35) {
+                level.get(x - 1, y) - CENSUS_MARGIN
+            } else {
+                rng.random_range(0.0..1.0f32)
+            };
+            level.set(x, y, v);
+        }
+    }
+    level
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Census codes built straight from a level equal the `f32` census
+    /// transform cast to codes, on degenerate 1×N, N×1 and 2×2 levels as
+    /// well as a random one.
+    #[test]
+    fn direct_census_codes_match_transform(
+        seed in 0..10_000u64,
+        n in 1..24usize,
+        w in 1..40usize,
+        h in 1..40usize,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xce5);
+        for (lw, lh) in [(1, n), (n, 1), (2, 2), (w, h)] {
+            let level = threshold_level(&mut rng, lw, lh);
+            prop_assert_eq!(
+                CensusCodePlane::census(&level),
+                CensusCodePlane::from_census(&census_transform(&level))
+            );
+        }
+    }
+
+    /// The tap-table resize equals per-pixel bilinear sampling bit for bit
+    /// for upscales, downscales, the identity and 1×1 sources and targets.
+    #[test]
+    fn resize_matches_bilinear_oracle(
+        seed in 0..10_000u64,
+        w in 1..48usize,
+        h in 1..48usize,
+        nw in 1..64usize,
+        nh in 1..64usize,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x2e5);
+        let src = GrayImage::from_fn(w, h, |_, _| rng.random_range(0.0..1.0f32));
+        let tiny = GrayImage::filled(1, 1, rng.random_range(0.0..1.0f32));
+        for (img, tw, th) in [
+            (&src, nw, nh),
+            (&src, w, h),
+            (&src, 2 * w + 1, h.div_ceil(3)),
+            (&src, 1, 1),
+            (&tiny, nw, nh),
+        ] {
+            let got = resize_gray(img, tw, th).expect("resize");
+            let want = resize_gray_reference(img, tw, th).expect("reference resize");
+            prop_assert_eq!((got.width(), got.height()), (tw, th));
+            for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
+                prop_assert!(
+                    a.to_bits() == b.to_bits(),
+                    "{}x{} -> {}x{}: {} vs {}",
+                    w,
+                    h,
+                    tw,
+                    th,
+                    a,
+                    b
+                );
+            }
+        }
+    }
+
+    /// C4 lane tails: single-level schedules whose rows hold 1, 7, 8 and 9
+    /// windows (no full group, one short of a group, exactly one, one
+    /// over) at strides 1–4. `detect` equals `detect_reference`, and
+    /// `cascade_stats` counts exactly the windows and rejections of the
+    /// window-at-a-time scan.
+    #[test]
+    fn c4_lane_tails_match_reference(
+        seed in 0..10_000u64,
+        keep_floor in -0.5..0.5f64,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x1a4e);
+        let svm = LinearSvm::from_parts(
+            random_weights(&mut rng, C4_FEATURE_DIM, 0.6),
+            rng.random_range(-0.4..0.4),
+        );
+        let frame = random_frame(seed, rng.random_range(60..140), rng.random_range(60..140));
+        for per_row in [1, 7, 8, 9] {
+            for stride in 1..=4 {
+                let iw = WINDOW_W + (per_row - 1) * stride + rng.random_range(0..stride);
+                let ih = WINDOW_H + rng.random_range(0..3 * stride);
+                let config = C4DetectorConfig {
+                    internal_w: iw,
+                    internal_h: ih,
+                    scales: ScaleSchedule {
+                        min_scale: 1.0,
+                        max_scale: 1.0,
+                        ratio: 1.5,
+                    },
+                    stride,
+                    keep_floor,
+                    ..C4DetectorConfig::default()
+                };
+                let det = C4Detector::from_svm(config, svm.clone()).expect("from_svm");
+                assert_bit_identical(&det.detect(&frame), &det.detect_reference(&frame));
+
+                let codes = FrameFeatures::new(&frame)
+                    .census_codes(iw, ih, iw, ih)
+                    .expect("census codes");
+                let (mut windows, mut rejected) = (0u64, 0u64);
+                for y0 in (0..=ih - WINDOW_H).step_by(stride) {
+                    for x0 in (0..=iw - WINDOW_W).step_by(stride) {
+                        windows += 1;
+                        rejected += u64::from(det.scan_window(&codes, x0, y0).is_none());
+                    }
+                }
+                prop_assert_eq!(windows % per_row as u64, 0);
+                prop_assert_eq!(det.cascade_stats(&frame), (windows, rejected));
+            }
+        }
     }
 }
 
