@@ -9,7 +9,7 @@
 
 use crate::detection::{AlgorithmId, BBox, Detection, DetectionOutput};
 use crate::frame_features::FrameFeatures;
-use crate::kernels::CensusCodePlane;
+use crate::kernels::{CensusCodePlane, DetectScratch};
 use crate::nms::{nms_in_place, non_maximum_suppression};
 use crate::pyramid::{ScaleSchedule, WINDOW_H, WINDOW_W};
 use crate::training::{synthesize, NegativeRegime, TrainingConfig};
@@ -30,11 +30,6 @@ pub const TILES_Y: usize = 6;
 pub const C4_FEATURE_DIM: usize = TILES_X * TILES_Y * CENSUS_BINS;
 /// Pixels per tile (used by the direct scoring fast path).
 const TILE_PIXELS: f64 = ((WINDOW_W / TILES_X) * (WINDOW_H / TILES_Y)) as f64;
-
-/// Horizontally adjacent windows the scan scores together. Each lane keeps
-/// its own accumulator, so eight independent add chains overlap instead
-/// of one window's ~768 dependent adds running back to back.
-const LANES: usize = 8;
 
 /// Rows accumulated before the early-reject bound is first consulted: the
 /// head rows alone rarely decide a window, so checking earlier only adds
@@ -126,6 +121,10 @@ struct C4ScanTables {
     /// `remaining[y]` bounds (from above, including float slack) the
     /// contribution rows `y..` can still add to the raw accumulator.
     remaining: [f64; WINDOW_H + 1],
+    /// Float slack alone (`remaining[WINDOW_H]`): how far two summation
+    /// orders of one window's weights can drift apart, so a window sum
+    /// taken in any order is within `slack` of the reference-order sum.
+    slack: f64,
     /// Accumulator-space keep floor: a window whose upper bound stays below
     /// this is provably below `keep_floor` after the `/TILE_PIXELS + bias`
     /// finish, so it can be rejected without finishing the sum.
@@ -156,9 +155,10 @@ impl C4ScanTables {
                 .sum();
         }
         // Slack absorbing the non-associativity of the running f64 sum: the
-        // worst-case drift of an n-term fold is below n²·ε·max|w|; inflate
-        // ×4 for headroom. Rejection must only ever be *more* conservative
-        // than exact arithmetic.
+        // worst-case drift of an n-term fold is below n²·ε·max|w|, so two
+        // folds of the same terms in different orders differ by under
+        // 2·n²·ε·max|w|; inflate ×4 for headroom. Rejection must only ever
+        // be *more* conservative than exact arithmetic.
         let n = (WINDOW_W * WINDOW_H) as f64;
         let slack = 4.0 * n * n * f64::EPSILON * max_abs.max(1.0);
         let mut remaining = [0.0f64; WINDOW_H + 1];
@@ -174,6 +174,7 @@ impl C4ScanTables {
         C4ScanTables {
             row_off,
             remaining,
+            slack,
             acc_floor,
         }
     }
@@ -332,66 +333,23 @@ impl C4Detector {
         Some(acc / TILE_PIXELS + self.svm.bias())
     }
 
-    /// [`C4Detector::scan_window`] for the `LANES` windows at
-    /// `x0, x0 + stride, …` of row `y0`, scored side by side.
-    ///
-    /// Lane `l` equals `scan_window(codes, x0 + l·stride, y0)` bit for bit:
-    /// it owns its accumulator (no partial sum is shared across lanes) and
-    /// adds its window's weights in the reference order, rows top to
-    /// bottom and columns left to right. After each row every lane takes
-    /// the same reject test; a rejected lane stays `None` (its accumulator
-    /// runs on unread), and the group stops once every lane is rejected.
-    fn scan_lanes(
-        &self,
-        codes: &CensusCodePlane,
-        x0: usize,
-        stride: usize,
-        y0: usize,
-    ) -> [Option<f64>; LANES] {
-        let w = self.svm.weights();
-        let t = &self.scan;
-        let mut acc = [0.0f64; LANES];
-        let mut rejected = [false; LANES];
-        for y in 0..WINDOW_H {
-            let base = t.row_off[y];
-            // Fixed-size tiles and lane rows: `u8` codes index the
-            // 256-entry tiles and `x < WINDOW_W` indexes the rows, so the
-            // inner loop carries no bounds checks.
-            let tiles: [&[f64; CENSUS_BINS]; TILES_X] = std::array::from_fn(|tx| {
-                let start = base + tx * CENSUS_BINS;
-                w[start..start + CENSUS_BINS].try_into().unwrap()
-            });
-            let span = codes.row(x0, y0 + y, (LANES - 1) * stride + WINDOW_W);
-            let rows: [&[u8; WINDOW_W]; LANES] = std::array::from_fn(|l| {
-                span[l * stride..l * stride + WINDOW_W].try_into().unwrap()
-            });
-            for x in 0..WINDOW_W {
-                let tile = tiles[x / (WINDOW_W / TILES_X)];
-                for (a, row) in acc.iter_mut().zip(&rows) {
-                    *a += tile[row[x] as usize];
-                }
-            }
-            let next = y + 1;
-            if (CASCADE_WARMUP_ROWS..WINDOW_H).contains(&next) {
-                for (r, a) in rejected.iter_mut().zip(&acc) {
-                    *r |= a + t.remaining[next] < t.acc_floor;
-                }
-                if rejected.iter().all(|&r| r) {
-                    return [None; LANES];
-                }
-            }
-        }
-        std::array::from_fn(|l| (!rejected[l]).then(|| acc[l] / TILE_PIXELS + self.svm.bias()))
-    }
-
     /// Scans every window of one census level in the reference order (rows
     /// of windows top to bottom, left to right within a row) and hands each
-    /// `(x0, y0, scan_window result)` to `visit`. Full groups of `LANES`
-    /// windows go through [`C4Detector::scan_lanes`]; the row's tail
-    /// windows through [`C4Detector::scan_window`].
+    /// `(x0, y0, score)` to `visit`. `Some(score)` is bit-identical to
+    /// [`C4Detector::score_window_reference`]; `None` means the window
+    /// provably scores below `keep_floor`.
+    ///
+    /// Every window is screened by its [`C4Detector::window_sums`] entry
+    /// first: that sum holds the same weights as the reference sum in
+    /// another order, so it is within `slack` of it, and a window whose sum
+    /// plus `slack` stays below the accumulator floor is dropped unscored.
+    /// The survivors, about one window in seven on the benchmark frames
+    /// (the ones that clear `keep_floor`), are scored in the reference order
+    /// by [`C4Detector::scan_window`].
     fn scan_level(
         &self,
         codes: &CensusCodePlane,
+        scratch: &mut DetectScratch,
         mut visit: impl FnMut(usize, usize, Option<f64>),
     ) {
         let (sw, sh) = (codes.width(), codes.height());
@@ -399,20 +357,87 @@ impl C4Detector {
             return;
         }
         let stride = self.config.stride.max(1);
-        let per_row = (sw - WINDOW_W) / stride + 1;
-        let grouped = per_row - per_row % LANES;
-        for y0 in (0..=sh - WINDOW_H).step_by(stride) {
-            for x0 in (0..grouped).step_by(LANES).map(|i| i * stride) {
-                for (l, score) in self
-                    .scan_lanes(codes, x0, stride, y0)
-                    .into_iter()
-                    .enumerate()
-                {
-                    visit(x0 + l * stride, y0, score);
+        let nx = (sw - WINDOW_W) / stride + 1;
+        let ny = (sh - WINDOW_H) / stride + 1;
+        let DetectScratch {
+            band_row_sums,
+            window_sums,
+            ..
+        } = scratch;
+        self.window_sums(codes, stride, (nx, ny), band_row_sums, window_sums);
+        let t = &self.scan;
+        for (j, row) in window_sums.chunks_exact(nx).enumerate() {
+            let y0 = j * stride;
+            for (i, &sum) in row.iter().enumerate() {
+                let x0 = i * stride;
+                let score = if sum + t.slack < t.acc_floor {
+                    None
+                } else {
+                    self.scan_window(codes, x0, y0)
+                };
+                visit(x0, y0, score);
+            }
+        }
+    }
+
+    /// Fills `sums[j · nx + i]` with the raw accumulator of window
+    /// `(i · stride, j · stride)`: the weights [`C4Detector::scan_window`]
+    /// adds, summed in an order that shares work between windows.
+    ///
+    /// A window row's weights depend only on the row's codes and on the
+    /// tile band (8-row slab) of the window it falls in. So for band `b`
+    /// the 16-pixel row sum of level row `8b + r` under window column `i`
+    /// is taken once, into `rows[r · nx + i]`, and then added to every
+    /// window whose band `b` covers that row: about `8 / stride` windows,
+    /// four at stride 2. The window sums then add whole rows of row sums.
+    fn window_sums(
+        &self,
+        codes: &CensusCodePlane,
+        stride: usize,
+        (nx, ny): (usize, usize),
+        rows: &mut Vec<f64>,
+        sums: &mut Vec<f64>,
+    ) {
+        const BAND_H: usize = WINDOW_H / TILES_Y;
+        const TILE_W: usize = WINDOW_W / TILES_X;
+        let w = self.svm.weights();
+        // Level rows 8b .. 8b + band_rows hold band b of every window.
+        let band_rows = (ny - 1) * stride + BAND_H;
+        rows.clear();
+        rows.resize(band_rows * nx, 0.0);
+        sums.clear();
+        sums.resize(ny * nx, 0.0);
+        for b in 0..TILES_Y {
+            let base = b * TILES_X * CENSUS_BINS;
+            let tiles: [&[f64; CENSUS_BINS]; TILES_X] = std::array::from_fn(|tx| {
+                let start = base + tx * CENSUS_BINS;
+                w[start..start + CENSUS_BINS]
+                    .try_into()
+                    .expect("a tile is CENSUS_BINS weights")
+            });
+            for (r, row_sums) in rows.chunks_exact_mut(nx).enumerate() {
+                let codes_row = codes.row(0, b * BAND_H + r, codes.width());
+                for (i, sum) in row_sums.iter_mut().enumerate() {
+                    // Fixed-size window row and tiles: `u8` codes index the
+                    // 256-entry tiles, so the lookups carry no bounds checks.
+                    let window: &[u8; WINDOW_W] = codes_row[i * stride..i * stride + WINDOW_W]
+                        .try_into()
+                        .expect("window row is WINDOW_W codes");
+                    let mut part = [0.0f64; TILES_X];
+                    for (tx, p) in part.iter_mut().enumerate() {
+                        for &code in &window[tx * TILE_W..(tx + 1) * TILE_W] {
+                            *p += tiles[tx][code as usize];
+                        }
+                    }
+                    *sum = part.iter().sum();
                 }
             }
-            for x0 in (grouped..per_row).map(|i| i * stride) {
-                visit(x0, y0, self.scan_window(codes, x0, y0));
+            for (j, window_sums) in sums.chunks_exact_mut(nx).enumerate() {
+                for r in j * stride..j * stride + BAND_H {
+                    for (sum, &v) in window_sums.iter_mut().zip(&rows[r * nx..(r + 1) * nx]) {
+                        *sum += v;
+                    }
+                }
             }
         }
     }
@@ -471,10 +496,12 @@ impl C4Detector {
         }
     }
 
-    /// Scans `frame` exactly like `detect` and reports
-    /// `(windows, rejected)`: windows visited and how many the cascade
-    /// bound abandoned early. Diagnostic only (the bench layer records the
-    /// reject ratio); detection output is unaffected by rejection.
+    /// Visits the windows `detect` visits and reports `(windows, rejected)`:
+    /// windows visited and how many the row-bound cascade of
+    /// [`C4Detector::scan_window`] abandons early when every window goes
+    /// through it (in `detect` only the windows that pass the band-sum
+    /// screen do). Diagnostic only (the bench layer records the reject
+    /// ratio); detection output is unaffected by rejection.
     pub fn cascade_stats(&self, frame: &RgbImage) -> (u64, u64) {
         let cache = FrameFeatures::new(frame);
         let (iw, ih) = (self.config.internal_w, self.config.internal_h);
@@ -487,10 +514,19 @@ impl C4Detector {
             let Ok(codes) = cache.census_codes(iw, ih, sw, sh) else {
                 continue;
             };
-            self.scan_level(&codes, |_, _, score| {
-                windows += 1;
-                rejected += u64::from(score.is_none());
-            });
+            let stride = self.config.stride.max(1);
+            let mut y0 = 0;
+            while y0 + WINDOW_H <= sh {
+                let mut x0 = 0;
+                while x0 + WINDOW_W <= sw {
+                    windows += 1;
+                    if self.scan_window(&codes, x0, y0).is_none() {
+                        rejected += 1;
+                    }
+                    x0 += stride;
+                }
+                y0 += stride;
+            }
         }
         (windows, rejected)
     }
@@ -597,39 +633,42 @@ impl Detector for C4Detector {
         let fy = frame.height() as f64 / ih as f64;
 
         let mut candidates = Vec::new();
-        for scale in ScaleSchedule::usable_from(&self.scale_levels, iw, ih) {
-            let (sw, sh) = ScaleSchedule::level_dims(scale, iw, ih);
-            // The census level is keyed on the internal resolution too: a
-            // resize *through* the internal image is not the same image as
-            // a direct resize, and the failure point (the second resize)
-            // precedes the ops increment exactly as in the direct path.
-            let Ok(codes) = cache.census_codes(iw, ih, sw, sh) else {
-                continue;
-            };
-            ops += (sw * sh) as u64 * 9; // resize + 8-comparison census
-            self.scan_level(&codes, |x0, y0, score| {
-                // Direct scoring: because the census histogram is a
-                // (normalized) count vector, w·h(x) folds into one weight
-                // lookup per window pixel. The modeled cost is the full
-                // window regardless of early rejection — the cascade is a
-                // host-simulation speedup, not a change to the camera's
-                // energy model.
-                ops += (WINDOW_W * WINDOW_H) as u64;
-                if let Some(score) = score.filter(|&s| s >= self.config.keep_floor) {
-                    let ox0 = x0 as f64 / scale * fx;
-                    let oy0 = y0 as f64 / scale * fy;
-                    candidates.push(Detection {
-                        bbox: BBox::new(
-                            ox0,
-                            oy0,
-                            ox0 + WINDOW_W as f64 / scale * fx,
-                            oy0 + WINDOW_H as f64 / scale * fy,
-                        ),
-                        score,
-                    });
-                }
-            });
-        }
+        cache.with_scratch(|scratch| {
+            for scale in ScaleSchedule::usable_from(&self.scale_levels, iw, ih) {
+                let (sw, sh) = ScaleSchedule::level_dims(scale, iw, ih);
+                // The census level is keyed on the internal resolution too:
+                // a resize *through* the internal image is not the same
+                // image as a direct resize, and the failure point (the
+                // second resize) precedes the ops increment exactly as in
+                // the direct path.
+                let Ok(codes) = cache.census_codes(iw, ih, sw, sh) else {
+                    continue;
+                };
+                ops += (sw * sh) as u64 * 9; // resize + 8-comparison census
+                self.scan_level(&codes, scratch, |x0, y0, score| {
+                    // Direct scoring: because the census histogram is a
+                    // (normalized) count vector, w·h(x) folds into one
+                    // weight lookup per window pixel. The modeled cost is
+                    // the full window regardless of screening or early
+                    // rejection — both are host-simulation speedups, not a
+                    // change to the camera's energy model.
+                    ops += (WINDOW_W * WINDOW_H) as u64;
+                    if let Some(score) = score.filter(|&s| s >= self.config.keep_floor) {
+                        let ox0 = x0 as f64 / scale * fx;
+                        let oy0 = y0 as f64 / scale * fy;
+                        candidates.push(Detection {
+                            bbox: BBox::new(
+                                ox0,
+                                oy0,
+                                ox0 + WINDOW_W as f64 / scale * fx,
+                                oy0 + WINDOW_H as f64 / scale * fy,
+                            ),
+                            score,
+                        });
+                    }
+                });
+            }
+        });
         nms_in_place(&mut candidates, self.config.nms_iou);
         DetectionOutput {
             detections: candidates,
@@ -806,11 +845,12 @@ mod tests {
         assert!(accepted + rejected > 0);
     }
 
-    /// Every lane of a group equals the single-window scan of its window,
-    /// at every stride, including lanes the group kept scanning after
-    /// rejecting them.
+    /// The band-sum screen: every window sum is within `slack` of the
+    /// reference-order sum, a screened-out window truly scores below the
+    /// keep floor, and a kept one carries the reference score bit for bit,
+    /// at every stride.
     #[test]
-    fn scan_lanes_match_scan_window() {
+    fn scan_level_screens_soundly() {
         use crate::kernels::CensusCodePlane;
         use rand::RngExt;
         let mut rng = StdRng::seed_from_u64(78);
@@ -822,24 +862,55 @@ mod tests {
             ..quick_config()
         };
         let det = C4Detector::from_svm(config, LinearSvm::from_parts(weights, 0.05)).unwrap();
-        let img = GrayImage::from_fn(64, 60, |_, _| rng.random_range(0.0..1.0f32));
+        let (w, h) = (64, 60);
+        let img = GrayImage::from_fn(w, h, |_, _| rng.random_range(0.0..1.0f32));
+        let census = census_transform(&img);
         let codes = CensusCodePlane::census(&img);
+        let mut scratch = DetectScratch::default();
         let (mut kept, mut dropped) = (0, 0);
         for stride in 1..=4 {
-            for x0 in 0..=64 - WINDOW_W - (LANES - 1) * stride {
-                for y0 in [0, 5, 12] {
-                    let lanes = det.scan_lanes(&codes, x0, stride, y0);
-                    for (l, got) in lanes.into_iter().enumerate() {
-                        let want = det.scan_window(&codes, x0 + l * stride, y0);
-                        assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
-                        if got.is_some() {
-                            kept += 1;
-                        } else {
-                            dropped += 1;
-                        }
+            let nx = (w - WINDOW_W) / stride + 1;
+            let ny = (h - WINDOW_H) / stride + 1;
+            let (mut rows, mut sums) = (Vec::new(), Vec::new());
+            det.window_sums(&codes, stride, (nx, ny), &mut rows, &mut sums);
+            assert_eq!(sums.len(), nx * ny);
+            for (k, &sum) in sums.iter().enumerate() {
+                let (x0, y0) = (k % nx * stride, k / nx * stride);
+                let mut reference = 0.0;
+                for y in 0..WINDOW_H {
+                    for x in 0..WINDOW_W {
+                        let tile = (y / (WINDOW_H / TILES_Y)) * TILES_X + x / (WINDOW_W / TILES_X);
+                        reference +=
+                            det.svm.weights()[tile * CENSUS_BINS + codes.code(x0 + x, y0 + y)];
                     }
                 }
+                assert!((sum - reference).abs() <= det.scan.slack, "at ({x0},{y0})");
             }
+
+            let stride_det = C4Detector::from_svm(
+                C4DetectorConfig {
+                    stride,
+                    ..det.config.clone()
+                },
+                det.svm.clone(),
+            )
+            .unwrap();
+            let mut visited = 0;
+            stride_det.scan_level(&codes, &mut scratch, |x0, y0, got| {
+                visited += 1;
+                let want = det.score_window_reference(&census, x0, y0);
+                match got {
+                    Some(score) => {
+                        assert_eq!(score.to_bits(), want.to_bits(), "at ({x0},{y0})");
+                        kept += 1;
+                    }
+                    None => {
+                        assert!(want < det.config.keep_floor, "unsound drop at ({x0},{y0})");
+                        dropped += 1;
+                    }
+                }
+            });
+            assert_eq!(visited, nx * ny);
         }
         assert!(kept > 0 && dropped > 0, "kept {kept}, dropped {dropped}");
     }

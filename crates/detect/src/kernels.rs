@@ -1,9 +1,10 @@
 //! Shared kernel-optimization primitives for the detector hot paths.
 //!
-//! The sliding-window scans dominate the whole simulator: C4 is the
-//! costliest detector (about 50 ms per miniature frame on a 2-core x86
-//! host before the lane scan, about 25 ms after). Two constant-factor
-//! sinks recur across all four detectors:
+//! The sliding-window scans dominate the whole simulator. C4 was the
+//! costliest detector: about 50 ms per miniature frame on a 2-core x86
+//! host when every window was scored, about 15 ms behind the band-sum
+//! screen, just under LSVM. Two constant-factor sinks recur across all
+//! four detectors:
 //!
 //! 1. **Redundant per-window recomputation** — every pixel of a census
 //!    level was re-fetched as `f32` and re-cast/clamped to a code by each
@@ -147,6 +148,10 @@ pub struct DetectScratch {
     pub histogram: Vec<f64>,
     /// Per-level flattened lookup offsets (ACF stump positions).
     pub offsets: Vec<usize>,
+    /// C4 band row sums of one tile band over a level.
+    pub band_row_sums: Vec<f64>,
+    /// C4 per-window sums of one level (the band-sum screen).
+    pub window_sums: Vec<f64>,
 }
 
 #[cfg(test)]

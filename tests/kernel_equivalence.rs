@@ -13,13 +13,14 @@
 //! The C4 cascade additionally carries a soundness obligation: its
 //! conservative remaining-contribution bound may only reject windows whose
 //! true score is below `keep_floor` — a rejected window must never be one
-//! the reference path would have kept.
+//! the reference path would have kept. The band-sum screen in front of it
+//! carries the same obligation, checked through `detect` at every row
+//! length and stride.
 //!
 //! The shared kernels under the detectors have their own oracles: census
 //! codes built straight from a level equal the `f32` census transform
-//! cast to codes, the tap-table resize equals per-pixel bilinear sampling,
-//! and the C4 lane scan (eight windows per pass, single-window tails)
-//! equals the window-at-a-time scan at every row length and stride.
+//! cast to codes, and the tap-table resize equals per-pixel bilinear
+//! sampling.
 
 use eecs::detect::c4_detector::{
     census_transform, C4Detector, C4DetectorConfig, C4_FEATURE_DIM, CENSUS_MARGIN,
@@ -354,13 +355,13 @@ proptest! {
         }
     }
 
-    /// C4 lane tails: single-level schedules whose rows hold 1, 7, 8 and 9
-    /// windows (no full group, one short of a group, exactly one, one
-    /// over) at strides 1–4. `detect` equals `detect_reference`, and
-    /// `cascade_stats` counts exactly the windows and rejections of the
-    /// window-at-a-time scan.
+    /// C4 row lengths: single-level schedules whose rows hold 1, 7, 8 and
+    /// 9 windows at strides 1–4, with a few spare rows and columns that no
+    /// window reaches. `detect` (band-sum screen, then the cascaded scan)
+    /// equals `detect_reference`, and `cascade_stats` counts exactly the
+    /// windows and rejections of the window-at-a-time scan.
     #[test]
-    fn c4_lane_tails_match_reference(
+    fn c4_row_lengths_match_reference(
         seed in 0..10_000u64,
         keep_floor in -0.5..0.5f64,
     ) {
