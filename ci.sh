@@ -35,7 +35,7 @@ if [[ "${EECS_SOAK:-0}" == "1" ]]; then
 fi
 
 echo "==> cargo clippy"
-cargo clippy --all-targets -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -70,32 +70,16 @@ echo "==> serve smoke (mission service: kill mid-queue, resume, replay)"
 # 1-worker run, with no completed mission re-executing.
 cargo run -q --release -p eecs-bench --bin serve_smoke -- 1 2 3
 
-echo "==> fault-matrix smoke (sensor + network + controller chaos)"
-# One combined-chaos mission per seed: must complete, stay physical,
-# record the scheduled failover, and replay bit-for-bit.
+echo "==> chaos smoke (catalog scenarios: crash, partition, flapping, integrity, churn)"
+# Per seed, every chaos scenario of the catalog that CI gates, in one
+# process with each rig prepared once: combined sensor + network +
+# controller chaos, a clean and a flapping two-island split over lossy
+# links, a wire corruption storm with a torn checkpoint write, and a
+# heterogeneous fleet whose last camera leaves and rejoins under a
+# controller crash. Each run must replay bit-for-bit (report, trace,
+# metrics), pass the default invariant audit, reach the path its
+# scenario exists for, and fail over exactly when its plan crashes the
+# controller.
 cargo run -q --release -p eecs-bench --bin chaos_smoke -- 1 2 3
-
-echo "==> partition smoke (islands, split-brain election, heal reconcile)"
-# Per seed, a clean two-island split and a flapping split over lossy
-# links: each must elect an acting seat, reconcile on heal, record no
-# crash failover, and replay bit-for-bit.
-cargo run -q --release -p eecs-bench --bin chaos_smoke -- --partition 1 2 3
-
-echo "==> integrity smoke (wire corruption storm + torn checkpoint write)"
-# Per seed, a bit-flip corruption storm over lossy links plus a torn
-# write of the newest checkpoint generation under a controller crash:
-# corrupt frames must be rejected (never consumed) with their energy
-# charged, the restore must roll back exactly one generation, and the
-# whole run must replay bit-for-bit.
-cargo run -q --release -p eecs-bench --bin chaos_smoke -- --corruption 1 2 3
-
-echo "==> churn smoke (heterogeneous fleet, mid-mission leave/rejoin, crash)"
-# Per seed, a flagship/midrange/lowend fleet over lossy links with a
-# scheduled controller crash and a churn plan that removes one camera
-# for two rounds: the failover must land on schedule, planning must
-# route around the departure (the absent camera never appears in a
-# round's plan), the camera must rejoin, and the run must replay
-# bit-for-bit.
-cargo run -q --release -p eecs-bench --bin chaos_smoke -- --churn 1 2 3
 
 echo "CI OK"

@@ -11,14 +11,14 @@
 
 use criterion::{black_box, Criterion};
 use eecs_bench::artifacts::Artifacts;
+use eecs_bench::catalog::miniature_config;
 use eecs_bench::report::{self, BenchEntry};
 use eecs_bench::serving::{mixed_batch, service_base};
 use eecs_bench::sweep::{run_sweep, Shard, SweepOptions, SweepSpec};
 use eecs_bench::Scale;
-use eecs_core::config::EecsConfig;
 use eecs_core::metadata::{CameraReport, ObjectMetadata};
 use eecs_core::reid::{fuse_reports, ReidConfig};
-use eecs_core::simulation::{OperatingMode, Parallelism, Simulation, SimulationConfig};
+use eecs_core::simulation::{Parallelism, Simulation, SimulationConfig};
 use eecs_detect::bank::DetectorBank;
 use eecs_detect::c4_detector::census_transform;
 use eecs_detect::detection::BBox;
@@ -256,31 +256,12 @@ fn kernel_bench(c: &mut Criterion) -> f64 {
 }
 
 fn round_sim(parallel: Parallelism) -> Simulation {
-    let mut profile = DatasetProfile::miniature(DatasetId::Lab);
-    profile.num_people = 4;
-    let eecs = EecsConfig {
-        assessment_period: 10,
-        recalibration_interval: 30,
-        key_frames: 8,
-        ..EecsConfig::default()
-    };
     Simulation::prepare(
         DetectorBank::train_quick(5).expect("bank"),
         SimulationConfig {
-            profile,
-            cameras: 4,
-            start_frame: 40,
-            end_frame: 70,
             budget_j_per_frame: 10.0,
-            mode: OperatingMode::FullEecs,
-            eecs,
-            feature_words: 12,
-            max_training_frames: 8,
-            boost_every: 0,
-            fault_plan: eecs_net::fault::FaultPlan::ideal(),
-            sensor_plan: eecs_scene::sensor_fault::SensorFaultPlan::ideal(),
-            controller_plan: eecs_net::fault::ControllerFaultPlan::none(),
             parallel,
+            ..miniature_config(4, 70)
         },
     )
     .expect("prepare")
@@ -421,29 +402,9 @@ fn churn_bench(c: &mut Criterion) {
 
 /// The three-round variant of the miniature mission config.
 fn sim_config_three_rounds() -> SimulationConfig {
-    let mut profile = DatasetProfile::miniature(DatasetId::Lab);
-    profile.num_people = 4;
-    let eecs = EecsConfig {
-        assessment_period: 10,
-        recalibration_interval: 30,
-        key_frames: 8,
-        ..EecsConfig::default()
-    };
     SimulationConfig {
-        profile,
-        cameras: 4,
-        start_frame: 40,
-        end_frame: 130,
         budget_j_per_frame: 10.0,
-        mode: OperatingMode::FullEecs,
-        eecs,
-        feature_words: 12,
-        max_training_frames: 8,
-        boost_every: 0,
-        fault_plan: eecs_net::fault::FaultPlan::ideal(),
-        sensor_plan: eecs_scene::sensor_fault::SensorFaultPlan::ideal(),
-        controller_plan: eecs_net::fault::ControllerFaultPlan::none(),
-        parallel: Parallelism::default(),
+        ..miniature_config(4, 130)
     }
 }
 

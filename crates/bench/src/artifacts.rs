@@ -21,18 +21,19 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 /// A build-once-per-key cache: the outer mutex only guards the slot map,
 /// so building one key never blocks lookups (or builds) of another.
-struct Memo<K, V> {
+/// `new` is `const`, so a memo can live in a `static`.
+pub(crate) struct Memo<K, V> {
     slots: Mutex<BTreeMap<K, Arc<OnceLock<Arc<V>>>>>,
 }
 
 impl<K: Ord + Clone, V> Memo<K, V> {
-    fn new() -> Memo<K, V> {
+    pub(crate) const fn new() -> Memo<K, V> {
         Memo {
             slots: Mutex::new(BTreeMap::new()),
         }
     }
 
-    fn get_or_build(&self, key: K, build: impl FnOnce() -> V) -> Arc<V> {
+    pub(crate) fn get_or_build(&self, key: K, build: impl FnOnce() -> V) -> Arc<V> {
         let slot = {
             let mut slots = self.slots.lock().expect("memo lock");
             Arc::clone(slots.entry(key).or_default())

@@ -22,12 +22,14 @@ fn main() {
         p.num_people = 4;
         (p, 40, 100, 2, 8)
     };
-    let mut eecs = EecsConfig::default();
     // Looser accuracy floor than the paper's defaults so the subset and
     // downgrade machinery has room to act — ablations need the knobs to
     // actually engage.
-    eecs.gamma_n = 0.6;
-    eecs.gamma_p = 0.6;
+    let mut eecs = EecsConfig {
+        gamma_n: 0.6,
+        gamma_p: 0.6,
+        ..EecsConfig::default()
+    };
     if !paper_scale {
         eecs.assessment_period = 10;
         eecs.recalibration_interval = 30;

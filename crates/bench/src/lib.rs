@@ -19,6 +19,7 @@
 //! energy/time columns and the DESIGN.md §5 ablations.
 
 pub mod artifacts;
+pub mod catalog;
 pub mod report;
 pub mod scenarios;
 pub mod serving;

@@ -417,7 +417,7 @@ mod tests {
 
     #[test]
     fn f64_debug_format_survives_bit_exactly() {
-        for v in [0.1f64, 1.0 / 3.0, 1e-300, 123456789.123456789, -0.0] {
+        for v in [0.1f64, 1.0 / 3.0, 1e-300, 123456789.12345679, -0.0] {
             let text = format!("{v:?}");
             let back = parse(&text).unwrap().as_num().unwrap();
             assert_eq!(v.to_bits(), back.to_bits(), "{text}");

@@ -2104,12 +2104,14 @@ mod tests {
     fn sim_config(mode: OperatingMode) -> SimulationConfig {
         let mut profile = DatasetProfile::miniature(DatasetId::Lab);
         profile.num_people = 4;
-        let mut eecs = EecsConfig::default();
         // Miniature cadence: gt every 5 frames; assess 2 frames, rounds of
         // 6 annotated frames.
-        eecs.assessment_period = 10;
-        eecs.recalibration_interval = 30;
-        eecs.key_frames = 8;
+        let eecs = EecsConfig {
+            assessment_period: 10,
+            recalibration_interval: 30,
+            key_frames: 8,
+            ..EecsConfig::default()
+        };
         SimulationConfig {
             profile,
             cameras: 2,

@@ -14,6 +14,12 @@
 //! [`SimulationReport`] plus the run's trace events, so it cannot
 //! perturb the run it audits — an audited run stays bit-identical to an
 //! unaudited one.
+//!
+//! The named-rule machinery itself is domain-generic: [`RuleChecker`]
+//! runs the rules of any [`AuditDomain`], a marker type naming the
+//! borrowed context its rules read. [`InvariantChecker`] is the checker
+//! of the simulation-run domain [`RunAudit`]; the mission service
+//! audits its batches with the same checker over its own context.
 
 use crate::simulation::{Simulation, SimulationReport};
 use crate::telemetry::TraceEvent;
@@ -34,34 +40,65 @@ pub struct InvariantContext<'a> {
     pub capacities: &'a [f64],
 }
 
-type Rule = Box<dyn Fn(&InvariantContext<'_>) -> Vec<String>>;
-
-/// A named, pluggable post-run auditor.
-pub struct InvariantChecker {
-    rules: Vec<(String, Rule)>,
+/// One audited domain: the context its rules borrow (a family of types,
+/// one per borrow lifetime), the header of a failed audit, and the
+/// standard rule set.
+pub trait AuditDomain: Sized + 'static {
+    /// What a rule of this domain inspects.
+    type Context<'a>;
+    /// First line of the panic [`RuleChecker::assert_clean`] raises.
+    const VIOLATION_HEADER: &'static str;
+    /// Registers the domain's standard rules, in evaluation order.
+    fn register_defaults(checker: &mut RuleChecker<Self>);
 }
 
-impl Default for InvariantChecker {
-    fn default() -> Self {
-        InvariantChecker::with_defaults()
-    }
+/// One rule of domain `D`: returns one message per violation it finds,
+/// or an empty vector when satisfied.
+pub type Rule<D> = Box<dyn Fn(&<D as AuditDomain>::Context<'_>) -> Vec<String>>;
+
+/// A named, pluggable post-run auditor over the contexts of domain `D`.
+pub struct RuleChecker<D: AuditDomain> {
+    rules: Vec<(String, Rule<D>)>,
 }
 
-impl InvariantChecker {
-    /// An auditor with no rules; add them with [`Self::add_rule`].
-    pub fn new() -> InvariantChecker {
-        InvariantChecker { rules: Vec::new() }
-    }
+/// The simulation-run domain: rules read an [`InvariantContext`].
+pub struct RunAudit;
+
+impl AuditDomain for RunAudit {
+    type Context<'a> = InvariantContext<'a>;
+    const VIOLATION_HEADER: &'static str = "invariant violations";
 
     /// The standard conservation laws: energy accounting, membership of
     /// every planned camera, counter/event agreement, and quarantine
     /// strikes never referencing departed cameras.
-    pub fn with_defaults() -> InvariantChecker {
-        let mut checker = InvariantChecker::new();
+    fn register_defaults(checker: &mut RuleChecker<RunAudit>) {
         checker.add_rule("energy-conservation", rule_energy_conservation);
         checker.add_rule("assignment-membership", rule_assignment_membership);
         checker.add_rule("counter-event-agreement", rule_counter_event_agreement);
         checker.add_rule("quarantine-membership", rule_quarantine_membership);
+    }
+}
+
+/// The post-run auditor of finished simulation runs.
+pub type InvariantChecker = RuleChecker<RunAudit>;
+
+impl<D: AuditDomain> Default for RuleChecker<D> {
+    fn default() -> Self {
+        RuleChecker::with_defaults()
+    }
+}
+
+impl<D: AuditDomain> RuleChecker<D> {
+    /// An auditor with no rules; add them with [`Self::add_rule`].
+    pub fn new() -> RuleChecker<D> {
+        RuleChecker { rules: Vec::new() }
+    }
+
+    /// An auditor loaded with the domain's standard rules
+    /// ([`AuditDomain::register_defaults`]).
+    pub fn with_defaults() -> RuleChecker<D> {
+        let mut checker = RuleChecker::new();
+        D::register_defaults(&mut checker);
         checker
     }
 
@@ -69,7 +106,7 @@ impl InvariantChecker {
     /// per violation it finds, or an empty vector when satisfied.
     pub fn add_rule<F>(&mut self, name: &str, rule: F)
     where
-        F: Fn(&InvariantContext<'_>) -> Vec<String> + 'static,
+        F: Fn(&D::Context<'_>) -> Vec<String> + 'static,
     {
         self.rules.push((name.to_string(), Box::new(rule)));
     }
@@ -79,9 +116,10 @@ impl InvariantChecker {
         self.rules.iter().map(|(n, _)| n.as_str()).collect()
     }
 
-    /// Runs every rule and collects all violations (never short-circuits
-    /// — a failing audit should show the full damage at once).
-    pub fn check(&self, ctx: &InvariantContext<'_>) -> Vec<String> {
+    /// Runs every rule and collects all violations as `"rule: message"`
+    /// lines (never short-circuits — a failing audit should show the full
+    /// damage at once).
+    pub fn check(&self, ctx: &D::Context<'_>) -> Vec<String> {
         let mut violations = Vec::new();
         for (name, rule) in &self.rules {
             for v in rule(ctx) {
@@ -96,11 +134,12 @@ impl InvariantChecker {
     /// # Panics
     ///
     /// Panics if any rule reports a violation, listing all of them.
-    pub fn assert_clean(&self, ctx: &InvariantContext<'_>) {
+    pub fn assert_clean(&self, ctx: &D::Context<'_>) {
         let violations = self.check(ctx);
         assert!(
             violations.is_empty(),
-            "invariant violations:\n  {}",
+            "{}:\n  {}",
+            D::VIOLATION_HEADER,
             violations.join("\n  ")
         );
     }

@@ -444,7 +444,7 @@ mod tests {
         let cache = FrameFeatures::new(&frame);
         let cap = cache.with_scratch(|s| {
             s.descriptor.clear();
-            s.descriptor.extend(std::iter::repeat(0.5).take(512));
+            s.descriptor.extend(std::iter::repeat_n(0.5, 512));
             s.descriptor.capacity()
         });
         // The same buffer (or at least its capacity) comes back.

@@ -1,17 +1,18 @@
-//! Service-level invariant rules, mirroring
-//! [`eecs_core::testkit::InvariantChecker`]'s named-rule shape over the
-//! service domain.
+//! Service-level invariant rules: the mission-service domain of
+//! [`eecs_core::testkit::RuleChecker`].
 //!
-//! The core checker's rules are higher-ranked over a simulation-report
-//! context, so the service grows its own context and rule set instead
-//! of forcing both domains through one type. Soak tests run both: this
-//! checker over the batch, and the core checker over each mission's
-//! fresh report.
+//! The service audits a whole batch rather than one simulation run, so
+//! it brings its own context ([`ServiceContext`]) and rule set, and
+//! shares the named-rule checker with the simulation-run auditor. Soak
+//! tests run both: this checker over the batch, and the core
+//! [`eecs_core::testkit::InvariantChecker`] over each mission's fresh
+//! report.
 
 use crate::request::MissionRequest;
 use crate::schedule::{MissionVerdict, ServiceConfig};
 use crate::service::ServiceRun;
 use eecs_core::telemetry::Telemetry;
+use eecs_core::testkit::{AuditDomain, Rule, RuleChecker};
 
 /// Everything a service rule may inspect.
 pub struct ServiceContext<'a> {
@@ -26,79 +27,31 @@ pub struct ServiceContext<'a> {
     pub telemetry: &'a Telemetry,
 }
 
-/// One named service rule: returns a violation message per failure,
-/// empty when clean.
-pub type ServiceRule = Box<dyn Fn(&ServiceContext<'_>) -> Vec<String>>;
+/// The mission-service audit domain: rules read a [`ServiceContext`].
+pub struct ServiceAudit;
 
-/// A named collection of service rules.
-pub struct ServiceInvariants {
-    rules: Vec<(String, ServiceRule)>,
-}
-
-impl Default for ServiceInvariants {
-    fn default() -> Self {
-        ServiceInvariants::with_defaults()
-    }
-}
-
-impl ServiceInvariants {
-    /// An empty rule set.
-    pub fn new() -> ServiceInvariants {
-        ServiceInvariants { rules: Vec::new() }
-    }
+impl AuditDomain for ServiceAudit {
+    type Context<'a> = ServiceContext<'a>;
+    const VIOLATION_HEADER: &'static str = "service invariants violated";
 
     /// The default battery: admission conservation, queue bounds,
     /// same-tenant priority order, counter/event agreement, deadline
     /// accounting.
-    pub fn with_defaults() -> ServiceInvariants {
-        let mut inv = ServiceInvariants::new();
+    fn register_defaults(inv: &mut ServiceInvariants) {
         inv.add_rule("admission-conservation", admission_conservation);
         inv.add_rule("queue-bounds", queue_bounds);
         inv.add_rule("priority-order", priority_order);
         inv.add_rule("counter-event-agreement", counter_event_agreement);
         inv.add_rule("deadline-accounting", deadline_accounting);
-        inv
-    }
-
-    /// Registers a rule under `name`.
-    pub fn add_rule(
-        &mut self,
-        name: &str,
-        rule: impl Fn(&ServiceContext<'_>) -> Vec<String> + 'static,
-    ) {
-        self.rules.push((name.to_string(), Box::new(rule)));
-    }
-
-    /// The registered rule names, in registration order.
-    pub fn rule_names(&self) -> Vec<&str> {
-        self.rules.iter().map(|(n, _)| n.as_str()).collect()
-    }
-
-    /// Runs every rule, returning `"rule: violation"` lines.
-    pub fn check(&self, ctx: &ServiceContext<'_>) -> Vec<String> {
-        let mut violations = Vec::new();
-        for (name, rule) in &self.rules {
-            for v in rule(ctx) {
-                violations.push(format!("{name}: {v}"));
-            }
-        }
-        violations
-    }
-
-    /// Panics with every violation when any rule fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics when any rule reports a violation.
-    pub fn assert_clean(&self, ctx: &ServiceContext<'_>) {
-        let violations = self.check(ctx);
-        assert!(
-            violations.is_empty(),
-            "service invariants violated:\n  {}",
-            violations.join("\n  ")
-        );
     }
 }
+
+/// One named service rule: returns a violation message per failure,
+/// empty when clean.
+pub type ServiceRule = Rule<ServiceAudit>;
+
+/// A named collection of service rules.
+pub type ServiceInvariants = RuleChecker<ServiceAudit>;
 
 /// admitted + rejected == submitted, and every admitted mission has
 /// exactly one completion record.

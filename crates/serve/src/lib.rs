@@ -29,7 +29,7 @@ pub mod request;
 pub mod schedule;
 pub mod service;
 
-pub use invariants::{ServiceContext, ServiceInvariants, ServiceRule};
+pub use invariants::{ServiceAudit, ServiceContext, ServiceInvariants, ServiceRule};
 pub use request::{MissionRequest, MissionSpec, Priority, Rejected};
 pub use schedule::{
     arrival_tick, plan_schedule, MissionOutcome, MissionVerdict, Schedule, ServiceConfig,

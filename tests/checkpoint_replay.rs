@@ -3,47 +3,19 @@
 //! and the same telemetry stream — every single time. Exact equality,
 //! down to the bits and the bytes.
 
-use eecs::core::config::EecsConfig;
-use eecs::core::simulation::{OperatingMode, Parallelism, Simulation, SimulationConfig};
+use eecs::core::simulation::Simulation;
 use eecs::core::telemetry::{Telemetry, TraceEvent};
-use eecs::detect::bank::DetectorBank;
-use eecs::net::fault::{ControllerFaultPlan, FaultPlan, LinkFaults};
-use eecs::scene::dataset::{DatasetId, DatasetProfile};
 use eecs::scene::sensor_fault::{SensorFaultPlan, SensorImpairments};
+use eecs_bench::catalog::{self, Rig, CRASH_ROUND};
 
-/// Round in which the controller crash window opens.
-const CRASH_ROUND: usize = 1;
-
+/// The catalog's four-camera, two-round rig under lossy links, harsh
+/// sensors, and a controller crash at [`CRASH_ROUND`].
 fn crash_simulation(seed: u64) -> Simulation {
-    let mut profile = DatasetProfile::miniature(DatasetId::Lab);
-    profile.num_people = 4;
-    let eecs = EecsConfig {
-        assessment_period: 10,
-        recalibration_interval: 30,
-        key_frames: 8,
-        ..EecsConfig::default()
-    };
-    Simulation::prepare(
-        DetectorBank::train_quick(23).expect("bank"),
-        SimulationConfig {
-            profile,
-            cameras: 4,
-            start_frame: 40,
-            end_frame: 100,
-            budget_j_per_frame: 5.0,
-            mode: OperatingMode::FullEecs,
-            eecs,
-            feature_words: 12,
-            max_training_frames: 8,
-            boost_every: 0,
-            fault_plan: FaultPlan::seeded(seed).with_default_faults(LinkFaults::lossy(0.2)),
-            sensor_plan: SensorFaultPlan::seeded(seed)
-                .with_default_impairments(SensorImpairments::harsh()),
-            controller_plan: ControllerFaultPlan::none().with_crash(CRASH_ROUND, CRASH_ROUND + 1),
-            parallel: Parallelism::default(),
-        },
+    Rig::Mission.simulation().with_faults(
+        catalog::lossy_links(seed, 0.2),
+        SensorFaultPlan::seeded(seed).with_default_impairments(SensorImpairments::harsh()),
+        catalog::controller_crash(),
     )
-    .expect("prepare")
 }
 
 #[test]

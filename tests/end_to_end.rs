@@ -1,41 +1,13 @@
 //! End-to-end integration: the complete EECS loop through the facade
 //! crate, comparing the three operating modes of Figs. 5–6.
 
-use eecs::core::config::EecsConfig;
-use eecs::core::simulation::{OperatingMode, Simulation, SimulationConfig};
-use eecs::detect::bank::DetectorBank;
+use eecs::core::simulation::{OperatingMode, Simulation};
 use eecs::detect::detection::AlgorithmId;
-use eecs::scene::dataset::{DatasetId, DatasetProfile};
+use eecs_bench::catalog::Rig;
 
+/// The catalog's two-camera rig under the all-best baseline.
 fn base_simulation() -> Simulation {
-    let mut profile = DatasetProfile::miniature(DatasetId::Lab);
-    profile.num_people = 4;
-    let eecs = EecsConfig {
-        assessment_period: 10,
-        recalibration_interval: 30,
-        key_frames: 8,
-        ..EecsConfig::default()
-    };
-    Simulation::prepare(
-        DetectorBank::train_quick(23).expect("bank"),
-        SimulationConfig {
-            profile,
-            cameras: 2,
-            start_frame: 40,
-            end_frame: 100,
-            budget_j_per_frame: 5.0,
-            mode: OperatingMode::AllBest,
-            eecs,
-            feature_words: 12,
-            max_training_frames: 8,
-            boost_every: 0,
-            fault_plan: eecs::net::fault::FaultPlan::ideal(),
-            sensor_plan: eecs::scene::sensor_fault::SensorFaultPlan::ideal(),
-            controller_plan: eecs::net::fault::ControllerFaultPlan::none(),
-            parallel: eecs::core::simulation::Parallelism::default(),
-        },
-    )
-    .expect("prepare")
+    Rig::Pair.simulation().with_mode(OperatingMode::AllBest)
 }
 
 #[test]

@@ -14,173 +14,50 @@
 //!
 //! Every scenario runs under both serial and default (parallel)
 //! execution and must produce the same bytes — the snapshot doubles as
-//! the determinism regression net for the telemetry layer.
+//! the determinism regression net for the telemetry layer. The runs are
+//! scenarios of `eecs_bench::catalog` on its golden rigs, and each must
+//! reach the path its scenario exists for.
 
-use eecs::core::checkpoint::CheckpointFaultPlan;
-use eecs::core::config::EecsConfig;
 use eecs::core::jsonio::Json;
-use eecs::core::simulation::{
-    OperatingMode, Parallelism, Simulation, SimulationConfig, SimulationReport,
-};
+use eecs::core::simulation::{Parallelism, Simulation, SimulationReport};
 use eecs::core::telemetry::summary::golden_document;
 use eecs::core::telemetry::Telemetry;
-use eecs::detect::bank::DetectorBank;
-use eecs::detect::health::HealthPolicy;
-use eecs::energy::profile::DeviceProfile;
 use eecs::net::checksum::crc32;
-use eecs::net::fault::{
-    ChurnPlan, ControllerFaultPlan, CorruptionPlan, Endpoint, FaultPlan, LinkFaults, PartitionPlan,
-};
-use eecs::scene::dataset::{DatasetId, DatasetProfile};
+use eecs::net::fault::{ControllerFaultPlan, FaultPlan, LinkFaults};
 use eecs::scene::sensor_fault::{SensorFaultPlan, SensorImpairments};
+use eecs_bench::catalog::{self, Rig};
 use std::path::PathBuf;
-use std::sync::OnceLock;
 
 /// Flight-recorder capacity for golden runs — large enough that nothing
 /// is evicted, so the trace comparisons see the whole run.
 const TRACE_CAPACITY: usize = 4096;
 
-/// The miniature-lab mission every scenario starts from: `cameras`
-/// cameras over frames `40..end_frame` under full EECS.
-fn base_config(cameras: usize, end_frame: usize) -> SimulationConfig {
-    let mut profile = DatasetProfile::miniature(DatasetId::Lab);
-    profile.num_people = 4;
-    let eecs = EecsConfig {
-        assessment_period: 10,
-        recalibration_interval: 30,
-        key_frames: 8,
-        ..EecsConfig::default()
-    };
-    SimulationConfig {
-        profile,
-        cameras,
-        start_frame: 40,
-        end_frame,
-        budget_j_per_frame: 10.0,
-        mode: OperatingMode::FullEecs,
-        eecs,
-        feature_words: 12,
-        max_training_frames: 8,
-        boost_every: 0,
-        fault_plan: FaultPlan::ideal(),
-        sensor_plan: SensorFaultPlan::ideal(),
-        controller_plan: ControllerFaultPlan::none(),
-        parallel: Parallelism::default(),
-    }
-}
-
-fn prepare(config: SimulationConfig) -> Simulation {
-    static BANK: OnceLock<DetectorBank> = OnceLock::new();
-    let bank = BANK.get_or_init(|| DetectorBank::train_quick(42).expect("bank"));
-    Simulation::prepare(bank.clone(), config).expect("prepare")
-}
-
-fn base_simulation() -> &'static Simulation {
-    static SIM: OnceLock<Simulation> = OnceLock::new();
-    SIM.get_or_init(|| prepare(base_config(2, 100)))
-}
-
-/// Heterogeneous fleet under churn: three distinct device profiles,
-/// with the lowend camera leaving at round 1 and rejoining at round 3.
-fn churn_fleet_simulation() -> &'static Simulation {
-    static SIM: OnceLock<Simulation> = OnceLock::new();
-    SIM.get_or_init(|| {
-        prepare(base_config(3, 160))
-            .with_fleet(vec![
-                DeviceProfile::flagship(),
-                DeviceProfile::midrange(),
-                DeviceProfile::lowend(),
-            ])
-            .expect("fleet")
-            .with_churn(ChurnPlan::seeded(13).with_leave(2, 1, 3))
-    })
-}
-
-/// The 2-camera base under a detection cap low enough that the harsh
-/// sensor plan's noisy frames trip the health checks: the quarantine
-/// strike path. The health policy is part of the prepared config, so this
-/// scenario needs its own `prepare`.
-fn quarantine_simulation() -> &'static Simulation {
-    static SIM: OnceLock<Simulation> = OnceLock::new();
-    SIM.get_or_init(|| {
-        let mut config = base_config(2, 100);
-        config.eecs.health = HealthPolicy {
-            max_detections: 12,
-            ..HealthPolicy::lenient()
-        };
-        config.sensor_plan = sensor_chaos_plan();
-        prepare(config)
-    })
-}
-
-/// The churn-fleet rig without churn, over lossy corrupting links: the
-/// base of the failover and partition-heal scenarios.
-fn chaos_fleet(partition: PartitionPlan, controller: ControllerFaultPlan) -> Simulation {
-    churn_fleet_simulation()
-        .with_churn(ChurnPlan::ideal())
-        .with_faults(
-            FaultPlan::seeded(17)
-                .with_default_faults(LinkFaults::lossy(0.1))
-                .with_corruption(CorruptionPlan::with_rate(0.3))
-                .with_partition(partition),
-            SensorFaultPlan::ideal(),
-            controller,
-        )
-}
-
-fn sensor_chaos_plan() -> SensorFaultPlan {
-    SensorFaultPlan::seeded(11)
-        .with_default_impairments(SensorImpairments::harsh())
-        .with_occlusion(1, 40, 100, 0.25)
-}
-
-/// The seven canonical scenarios, with fixed seeds.
-const SCENARIOS: [&str; 7] = [
-    "ideal",
-    "net_chaos",
-    "sensor_chaos",
-    "churn_fleet",
-    "failover_rot",
-    "partition_heal",
-    "quarantine",
+/// The seven golden files and the catalog scenario each one pins.
+const SCENARIOS: [(&str, &str); 7] = [
+    ("ideal", "ideal"),
+    ("net_chaos", "net_chaos"),
+    ("sensor_chaos", "sensor_chaos"),
+    ("churn_fleet", "churn_hetero"),
+    ("failover_rot", "failover_rot"),
+    ("partition_heal", "partition_heal"),
+    ("quarantine", "quarantine"),
 ];
 
+/// The golden instance of each scenario: the 2-camera golden rig, or
+/// its 3-camera heterogeneous fleet with the lowend camera leaving at
+/// round 1 and rejoining at round 3.
 fn scenario(name: &str) -> Simulation {
-    let base = base_simulation();
     match name {
-        "ideal" => base.clone(),
-        "net_chaos" => base.with_faults(
-            FaultPlan::seeded(7).with_default_faults(LinkFaults::lossy(0.25)),
-            SensorFaultPlan::ideal(),
-            ControllerFaultPlan::none(),
+        "ideal" => catalog::ideal(Rig::GoldenPair),
+        "net_chaos" => catalog::net_chaos(Rig::GoldenPair),
+        "sensor_chaos" => catalog::sensor_chaos(Rig::GoldenPair),
+        "churn_fleet" => catalog::churn_hetero(
+            Rig::GoldenTrio,
+            catalog::leave_and_rejoin(Rig::GoldenTrio, 13),
         ),
-        "sensor_chaos" => base.with_faults(
-            FaultPlan::ideal(),
-            sensor_chaos_plan(),
-            ControllerFaultPlan::none(),
-        ),
-        "churn_fleet" => churn_fleet_simulation().clone(),
-        // Controller crash at round 2 whose restore finds the newest
-        // checkpoint generation rotted: one failover, one rollback.
-        "failover_rot" => chaos_fleet(
-            PartitionPlan::none(),
-            ControllerFaultPlan::none().with_crash(2, 3),
-        )
-        .with_checkpoint_faults(CheckpointFaultPlan::seeded(5).with_bit_rot(3)),
-        // The hub side keeps cameras 0 and 1; camera 2 is orphaned over
-        // rounds [1, 3), elects itself, and is reconciled on heal.
-        "partition_heal" => chaos_fleet(
-            PartitionPlan::none().with_split(
-                vec![
-                    vec![Endpoint::Hub, Endpoint::Camera(0), Endpoint::Camera(1)],
-                    vec![Endpoint::Camera(2)],
-                ],
-                1,
-                3,
-            ),
-            ControllerFaultPlan::none(),
-        ),
-        "quarantine" => quarantine_simulation().clone(),
+        "failover_rot" => catalog::failover_rot(),
+        "partition_heal" => catalog::partition_heal(),
+        "quarantine" => catalog::quarantine(),
         other => panic!("unknown scenario {other}"),
     }
 }
@@ -231,32 +108,10 @@ fn check_golden(name: &str, actual: &str) {
     );
 }
 
-/// The path each recovery scenario exists to pin must actually fire —
-/// otherwise its golden would silently stop covering it.
-fn assert_reaches_its_path(name: &str, report: &SimulationReport) {
-    match name {
-        "failover_rot" => {
-            assert_eq!(report.failovers.len(), 1, "{name}: failovers");
-            assert_eq!(report.checkpoint_rollbacks, 1, "{name}: rollbacks");
-        }
-        "partition_heal" => {
-            assert_eq!(report.partitions, 1, "{name}: partitions");
-            assert_eq!(report.elections, 1, "{name}: elections");
-            assert_eq!(report.reconciliations, 1, "{name}: reconciliations");
-            assert_eq!(report.split_brain_rounds, 2, "{name}: split-brain rounds");
-        }
-        "quarantine" => {
-            assert_eq!(report.quarantine_strikes, 10, "{name}: strikes");
-            assert_eq!(report.dropped_frames, 3, "{name}: dropped frames");
-        }
-        _ => {}
-    }
-}
-
 #[test]
 fn golden_reports_match_byte_for_byte() {
     let mut trace_crcs = Vec::new();
-    for name in SCENARIOS {
+    for (name, catalog_name) in SCENARIOS {
         let (report, serial_doc, serial_trace) = run_scenario(name, Parallelism::serial());
         let (_, parallel_doc, parallel_trace) = run_scenario(name, Parallelism::default());
 
@@ -273,7 +128,11 @@ fn golden_reports_match_byte_for_byte() {
         let reparsed = eecs::core::jsonio::parse(&serial_doc).expect("valid JSON");
         assert_eq!(reparsed.write().expect("re-encode"), serial_doc);
 
-        assert_reaches_its_path(name, &report);
+        // The path the scenario exists to pin must actually fire —
+        // otherwise its golden would silently stop covering it.
+        if let Err(unmet) = catalog::expect_path(catalog_name, &report) {
+            panic!("{name}: {unmet}");
+        }
         check_golden(name, &serial_doc);
         trace_crcs.push((
             name.to_string(),
@@ -292,7 +151,8 @@ fn tiny_sweep_shard() -> eecs_bench::sweep::Shard<'static> {
     eecs_bench::sweep::Shard::new(spec, |job| {
         let seed: u64 = job.value("fault_seed").unwrap().parse().unwrap();
         let budget: f64 = job.value("budget").unwrap().parse().unwrap();
-        let report = base_simulation()
+        let report = Rig::GoldenPair
+            .simulation()
             .with_budget(budget)
             .map_err(|e| e.to_string())?
             .with_faults(
@@ -390,18 +250,11 @@ fn null_telemetry_is_bit_identical_to_untelemetered_runs() {
 #[test]
 #[ignore]
 fn telemetry_soak_bounded_memory_and_determinism() {
-    let sim = Simulation::prepare(
-        DetectorBank::train_quick(23).expect("bank"),
-        SimulationConfig {
-            budget_j_per_frame: 5.0,
-            fault_plan: FaultPlan::seeded(42).with_default_faults(LinkFaults::lossy(0.2)),
-            sensor_plan: SensorFaultPlan::seeded(42)
-                .with_default_impairments(SensorImpairments::harsh()),
-            controller_plan: ControllerFaultPlan::none().with_crash(1, 2),
-            ..base_config(4, 160)
-        },
-    )
-    .expect("prepare");
+    let sim = Rig::LongMission.simulation().with_faults(
+        FaultPlan::seeded(42).with_default_faults(LinkFaults::lossy(0.2)),
+        SensorFaultPlan::seeded(42).with_default_impairments(SensorImpairments::harsh()),
+        ControllerFaultPlan::none().with_crash(1, 2),
+    );
 
     const SMALL: usize = 128;
     let run = |parallel: Parallelism| {

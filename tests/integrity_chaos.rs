@@ -7,55 +7,20 @@
 //! never heard of them.
 
 use eecs::core::checkpoint::CheckpointFaultPlan;
-use eecs::core::config::EecsConfig;
-use eecs::core::simulation::{OperatingMode, Parallelism, Simulation, SimulationConfig};
+use eecs::core::simulation::{Parallelism, Simulation};
 use eecs::core::telemetry::summary::golden_document;
 use eecs::core::telemetry::Telemetry;
-use eecs::detect::bank::DetectorBank;
-use eecs::net::fault::{ControllerFaultPlan, CorruptionPlan, FaultPlan, LinkFaults};
-use eecs::scene::dataset::{DatasetId, DatasetProfile};
-use eecs::scene::sensor_fault::{SensorFaultPlan, SensorImpairments};
+use eecs::net::fault::{ControllerFaultPlan, CorruptionPlan, FaultPlan};
+use eecs::scene::sensor_fault::SensorFaultPlan;
+use eecs_bench::catalog::{self, Rig, CRASH_ROUND};
 
-/// Round the controller dies at in the torn-checkpoint scenario.
-const CRASH_ROUND: usize = 1;
-
-fn base_simulation() -> Simulation {
-    let mut profile = DatasetProfile::miniature(DatasetId::Lab);
-    profile.num_people = 4;
-    let eecs = EecsConfig {
-        assessment_period: 10,
-        recalibration_interval: 30,
-        key_frames: 8,
-        ..EecsConfig::default()
-    };
-    Simulation::prepare(
-        DetectorBank::train_quick(23).expect("bank"),
-        SimulationConfig {
-            profile,
-            cameras: 4,
-            start_frame: 40,
-            end_frame: 100,
-            budget_j_per_frame: 5.0,
-            mode: OperatingMode::FullEecs,
-            eecs,
-            feature_words: 12,
-            max_training_frames: 8,
-            boost_every: 0,
-            fault_plan: FaultPlan::ideal(),
-            sensor_plan: SensorFaultPlan::ideal(),
-            controller_plan: ControllerFaultPlan::none(),
-            parallel: Parallelism::default(),
-        },
-    )
-    .expect("prepare")
-}
+/// Four cameras over two rounds, prepared once for the whole binary.
+const RIG: Rig = Rig::Mission;
 
 /// Lossy links plus a heavy corruption storm on every wire path.
 fn storm_simulation() -> Simulation {
-    base_simulation().with_faults(
-        FaultPlan::seeded(17)
-            .with_default_faults(LinkFaults::lossy(0.1))
-            .with_corruption(CorruptionPlan::with_rate(0.3)),
+    RIG.simulation().with_faults(
+        catalog::corruption_storm(17, 0.3),
         SensorFaultPlan::ideal(),
         ControllerFaultPlan::none(),
     )
@@ -64,7 +29,7 @@ fn storm_simulation() -> Simulation {
 #[test]
 fn corruption_storm_completes_with_graceful_degradation() {
     let storm = storm_simulation().run().expect("storm run completes");
-    let clean = base_simulation().run().expect("clean run completes");
+    let clean = catalog::ideal(RIG).run().expect("clean run completes");
 
     // The storm actually fired, and every corrupt frame was caught at the
     // checksum — counted, retransmitted, never consumed.
@@ -130,15 +95,7 @@ fn torn_checkpoint_rolls_back_one_generation_and_replays() {
     // as generation 2 and is torn mid-write, so the crash restore must
     // fall back exactly one generation — and the whole recovery must
     // itself be deterministic.
-    let sim = base_simulation()
-        .with_faults(
-            FaultPlan::seeded(5)
-                .with_default_faults(LinkFaults::lossy(0.1))
-                .with_corruption(CorruptionPlan::with_rate(0.2)),
-            SensorFaultPlan::ideal(),
-            ControllerFaultPlan::none().with_crash(CRASH_ROUND, CRASH_ROUND + 1),
-        )
-        .with_checkpoint_faults(CheckpointFaultPlan::seeded(5).with_torn_write(2));
+    let sim = catalog::integrity(RIG, catalog::corruption_storm(5, 0.2), 5);
 
     let report = sim.run().expect("torn-checkpoint run completes");
     assert_eq!(
@@ -170,23 +127,12 @@ fn torn_checkpoint_rolls_back_one_generation_and_replays() {
     );
 }
 
-/// The three canonical golden scenarios, mirroring `golden_report.rs`.
+/// The three canonical golden scenarios of the catalog, on this rig.
 fn scenario(name: &str) -> Simulation {
-    let base = base_simulation();
     match name {
-        "ideal" => base.clone(),
-        "net_chaos" => base.with_faults(
-            FaultPlan::seeded(7).with_default_faults(LinkFaults::lossy(0.25)),
-            SensorFaultPlan::ideal(),
-            ControllerFaultPlan::none(),
-        ),
-        "sensor_chaos" => base.with_faults(
-            FaultPlan::ideal(),
-            SensorFaultPlan::seeded(11)
-                .with_default_impairments(SensorImpairments::harsh())
-                .with_occlusion(1, 40, 100, 0.25),
-            ControllerFaultPlan::none(),
-        ),
+        "ideal" => catalog::ideal(RIG),
+        "net_chaos" => catalog::net_chaos(RIG),
+        "sensor_chaos" => catalog::sensor_chaos(RIG),
         other => panic!("unknown scenario {other}"),
     }
 }
@@ -194,29 +140,19 @@ fn scenario(name: &str) -> Simulation {
 /// Re-attaches a scenario's own fault plan with an explicit no-op
 /// corruption plan bolted on.
 fn with_inert_plans(name: &str) -> Simulation {
-    let base = base_simulation();
-    let inert = |plan: FaultPlan| plan.with_corruption(CorruptionPlan::none());
-    let sim = match name {
-        "ideal" => base.with_faults(
-            inert(FaultPlan::ideal()),
-            SensorFaultPlan::ideal(),
-            ControllerFaultPlan::none(),
-        ),
-        "net_chaos" => base.with_faults(
-            inert(FaultPlan::seeded(7).with_default_faults(LinkFaults::lossy(0.25))),
-            SensorFaultPlan::ideal(),
-            ControllerFaultPlan::none(),
-        ),
-        "sensor_chaos" => base.with_faults(
-            inert(FaultPlan::ideal()),
-            SensorFaultPlan::seeded(11)
-                .with_default_impairments(SensorImpairments::harsh())
-                .with_occlusion(1, 40, 100, 0.25),
-            ControllerFaultPlan::none(),
-        ),
+    let (links, sensor) = match name {
+        "ideal" => (FaultPlan::ideal(), SensorFaultPlan::ideal()),
+        "net_chaos" => (catalog::net_chaos_links(), SensorFaultPlan::ideal()),
+        "sensor_chaos" => (FaultPlan::ideal(), catalog::sensor_chaos_plan(RIG)),
         other => panic!("unknown scenario {other}"),
     };
-    sim.with_checkpoint_faults(CheckpointFaultPlan::none())
+    RIG.simulation()
+        .with_faults(
+            links.with_corruption(CorruptionPlan::none()),
+            sensor,
+            ControllerFaultPlan::none(),
+        )
+        .with_checkpoint_faults(CheckpointFaultPlan::none())
 }
 
 #[test]

@@ -1,26 +1,24 @@
-//! Invariant battery: every scenario the suite knows — ideal, lossy
-//! links, sensor degradation, a network partition, a corruption storm
-//! with a torn checkpoint, and the new churn/heterogeneous-fleet
-//! variants — is run serial *and* parallel, and each finished run is
-//! audited by [`eecs::core::testkit::InvariantChecker`]'s default rules:
-//! energy conservation against per-camera capacities, assignment and
+//! Invariant battery: every scenario of the catalog
+//! ([`eecs_bench::catalog::SCENARIOS`]) — ideal, lossy links, sensor
+//! degradation, a partition and a flapping partition, a corruption storm
+//! with a torn checkpoint, combined chaos with a controller crash, two
+//! churn variants, and the golden failover, partition-heal and
+//! quarantine paths — is run serial *and* parallel. Each finished run
+//! must reach the path its scenario exists for
+//! ([`eecs_bench::catalog::expect_path`]) and pass
+//! [`eecs::core::testkit::InvariantChecker`]'s default rules: energy
+//! conservation against per-camera capacities, assignment and
 //! quarantine membership against the event-derived join/leave timeline,
 //! and counter/event agreement. A final test proves replay bit-identity
 //! through [`eecs::core::testkit::verify_replay`] on the richest
-//! scenario.
+//! scenario. The rigs come prepared from the catalog, once per binary.
 
-use eecs::core::checkpoint::CheckpointFaultPlan;
-use eecs::core::config::EecsConfig;
-use eecs::core::simulation::{OperatingMode, Parallelism, Simulation, SimulationConfig};
+use eecs::core::simulation::{Parallelism, Simulation};
 use eecs::core::telemetry::Telemetry;
 use eecs::core::testkit::{verify_replay, InvariantChecker, InvariantContext};
-use eecs::detect::bank::DetectorBank;
-use eecs::energy::profile::DeviceProfile;
-use eecs::net::fault::{
-    ChurnPlan, ControllerFaultPlan, CorruptionPlan, Endpoint, FaultPlan, LinkFaults, PartitionPlan,
-};
-use eecs::scene::dataset::{DatasetId, DatasetProfile};
-use eecs::scene::sensor_fault::{SensorFaultPlan, SensorImpairments};
+use eecs::net::fault::{ControllerFaultPlan, FaultPlan};
+use eecs::scene::sensor_fault::SensorFaultPlan;
+use eecs_bench::catalog::{self, Rig};
 
 /// Large enough that no scenario here ever evicts a trace event; the
 /// harness asserts `trace_evicted() == 0` so a silent truncation can
@@ -28,123 +26,34 @@ use eecs::scene::sensor_fault::{SensorFaultPlan, SensorImpairments};
 const TRACE_CAPACITY: usize = 16384;
 
 /// Four cameras over four rounds gives churn a window to leave *and*
-/// rejoin while the suite still finishes quickly.
-fn base_simulation() -> Simulation {
-    let mut profile = DatasetProfile::miniature(DatasetId::Lab);
-    profile.num_people = 4;
-    let eecs = EecsConfig {
-        assessment_period: 10,
-        recalibration_interval: 30,
-        key_frames: 8,
-        ..EecsConfig::default()
-    };
-    Simulation::prepare(
-        DetectorBank::train_quick(23).expect("bank"),
-        SimulationConfig {
-            profile,
-            cameras: 4,
-            start_frame: 40,
-            end_frame: 160,
-            budget_j_per_frame: 5.0,
-            mode: OperatingMode::FullEecs,
-            eecs,
-            feature_words: 12,
-            max_training_frames: 8,
-            boost_every: 0,
-            fault_plan: FaultPlan::ideal(),
-            sensor_plan: SensorFaultPlan::ideal(),
-            controller_plan: ControllerFaultPlan::none(),
-            parallel: Parallelism::default(),
-        },
-    )
-    .expect("prepare")
-}
+/// rejoin, and a partition room to split and heal.
+const RIG: Rig = Rig::LongMission;
 
-fn two_islands() -> Vec<Vec<Endpoint>> {
-    vec![
-        vec![Endpoint::Hub, Endpoint::Camera(0), Endpoint::Camera(1)],
-        vec![Endpoint::Camera(2), Endpoint::Camera(3)],
-    ]
-}
-
-/// Flagship + two midrange + lowend: every cost table distinct.
-fn mixed_fleet() -> Vec<DeviceProfile> {
-    vec![
-        DeviceProfile::flagship(),
-        DeviceProfile::midrange(),
-        DeviceProfile::midrange(),
-        DeviceProfile::lowend(),
-    ]
-}
-
-/// Camera 3 sits out rounds [1, 3) and rejoins; camera 1 departs for
-/// good at round 2. Camera 0 is left alone so a controller seat always
-/// has a stable home.
-fn churn_plan() -> ChurnPlan {
-    ChurnPlan::seeded(5).with_leave(3, 1, 3).with_depart(1, 2)
-}
-
-/// Every scenario in the battery, by name.
-const SCENARIOS: &[&str] = &[
-    "ideal",
-    "net_chaos",
-    "sensor_chaos",
-    "partition",
-    "integrity",
-    "churn",
-    "churn_hetero",
-];
-
+/// The battery's instance of every catalog scenario, by name.
 fn scenario(name: &str) -> Simulation {
-    let base = base_simulation();
     match name {
-        "ideal" => base,
-        "net_chaos" => base.with_faults(
-            FaultPlan::seeded(7).with_default_faults(LinkFaults::lossy(0.25)),
+        "ideal" => catalog::ideal(RIG),
+        "net_chaos" => catalog::net_chaos(RIG),
+        "sensor_chaos" => catalog::sensor_chaos(RIG),
+        "partition" => catalog::partition(RIG, FaultPlan::ideal()),
+        "flapping" => catalog::flapping(RIG, FaultPlan::ideal()),
+        "integrity" => catalog::integrity(RIG, catalog::corruption_storm(17, 0.2), 5),
+        "crash" => catalog::crash(RIG, 1),
+        "churn" => catalog::churn(RIG),
+        "churn_hetero" => catalog::churn_hetero(RIG, catalog::churn_plan(RIG)).with_faults(
+            catalog::lossy_links(7, 0.15),
             SensorFaultPlan::ideal(),
             ControllerFaultPlan::none(),
         ),
-        "sensor_chaos" => base.with_faults(
-            FaultPlan::ideal(),
-            SensorFaultPlan::seeded(11)
-                .with_default_impairments(SensorImpairments::harsh())
-                .with_occlusion(1, 40, 160, 0.25),
-            ControllerFaultPlan::none(),
-        ),
-        "partition" => base.with_faults(
-            FaultPlan::ideal().with_partition(PartitionPlan::none().with_split(
-                two_islands(),
-                1,
-                3,
-            )),
-            SensorFaultPlan::ideal(),
-            ControllerFaultPlan::none(),
-        ),
-        "integrity" => base
-            .with_faults(
-                FaultPlan::seeded(17)
-                    .with_default_faults(LinkFaults::lossy(0.1))
-                    .with_corruption(CorruptionPlan::with_rate(0.2)),
-                SensorFaultPlan::ideal(),
-                ControllerFaultPlan::none().with_crash(1, 2),
-            )
-            .with_checkpoint_faults(CheckpointFaultPlan::seeded(5).with_torn_write(2)),
-        "churn" => base.with_churn(churn_plan()),
-        "churn_hetero" => base
-            .with_fleet(mixed_fleet())
-            .expect("fleet fits the miniature profile")
-            .with_churn(churn_plan())
-            .with_faults(
-                FaultPlan::seeded(7).with_default_faults(LinkFaults::lossy(0.15)),
-                SensorFaultPlan::ideal(),
-                ControllerFaultPlan::none(),
-            ),
+        "failover_rot" => catalog::failover_rot(),
+        "partition_heal" => catalog::partition_heal(),
+        "quarantine" => catalog::quarantine(),
         other => panic!("unknown scenario {other}"),
     }
 }
 
-/// Run `name` under `parallel`, then put the finished run in front of
-/// the default rule set.
+/// Run `name` under `parallel`, check it reached its path, then put the
+/// finished run in front of the default rule set.
 fn audit(name: &str, parallel: Parallelism) {
     let sim = scenario(name).with_parallelism(parallel);
     let tel = Telemetry::recording(TRACE_CAPACITY);
@@ -157,6 +66,9 @@ fn audit(name: &str, parallel: Parallelism) {
         0,
         "{name}: trace capacity too small for a trustworthy audit"
     );
+    if let Err(unmet) = catalog::expect_path(name, &report) {
+        panic!("{name}: {unmet}");
+    }
     let events = tel.events();
     let capacities: Vec<f64> = sim.fleet().iter().map(|p| p.battery_capacity_j).collect();
     let ctx = InvariantContext {
@@ -169,14 +81,14 @@ fn audit(name: &str, parallel: Parallelism) {
 
 #[test]
 fn all_scenarios_hold_invariants_serially() {
-    for name in SCENARIOS {
+    for name in catalog::SCENARIOS {
         audit(name, Parallelism::serial());
     }
 }
 
 #[test]
 fn all_scenarios_hold_invariants_in_parallel() {
-    for name in SCENARIOS {
+    for name in catalog::SCENARIOS {
         audit(name, Parallelism::default());
     }
 }

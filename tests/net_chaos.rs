@@ -2,11 +2,10 @@
 //! crashed camera must complete, select only live cameras, pay the
 //! reliability tax in energy, and replay byte-for-byte from its seed.
 
-use eecs::core::config::EecsConfig;
-use eecs::core::simulation::{OperatingMode, Simulation, SimulationConfig};
-use eecs::detect::bank::DetectorBank;
-use eecs::net::fault::{FaultPlan, LinkFaults};
-use eecs::scene::dataset::{DatasetId, DatasetProfile};
+use eecs::core::simulation::Simulation;
+use eecs::net::fault::{ControllerFaultPlan, FaultPlan, LinkFaults};
+use eecs::scene::sensor_fault::SensorFaultPlan;
+use eecs_bench::catalog::Rig;
 
 /// The camera whose device is crashed for the whole run.
 const CRASHED: usize = 3;
@@ -17,35 +16,13 @@ fn chaos_plan() -> FaultPlan {
         .with_crash(CRASHED, 0, usize::MAX)
 }
 
+/// The catalog's four-camera, two-round rig under `fault_plan`.
 fn simulation(fault_plan: FaultPlan) -> Simulation {
-    let mut profile = DatasetProfile::miniature(DatasetId::Lab);
-    profile.num_people = 4;
-    let eecs = EecsConfig {
-        assessment_period: 10,
-        recalibration_interval: 30,
-        key_frames: 8,
-        ..EecsConfig::default()
-    };
-    Simulation::prepare(
-        DetectorBank::train_quick(23).expect("bank"),
-        SimulationConfig {
-            profile,
-            cameras: 4,
-            start_frame: 40,
-            end_frame: 100,
-            budget_j_per_frame: 5.0,
-            mode: OperatingMode::FullEecs,
-            eecs,
-            feature_words: 12,
-            max_training_frames: 8,
-            boost_every: 0,
-            fault_plan,
-            sensor_plan: eecs::scene::sensor_fault::SensorFaultPlan::ideal(),
-            controller_plan: eecs::net::fault::ControllerFaultPlan::none(),
-            parallel: eecs::core::simulation::Parallelism::default(),
-        },
+    Rig::Mission.simulation().with_faults(
+        fault_plan,
+        SensorFaultPlan::ideal(),
+        ControllerFaultPlan::none(),
     )
-    .expect("prepare")
 }
 
 #[test]

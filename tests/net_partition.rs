@@ -5,65 +5,39 @@
 //! The whole episode must replay bit-for-bit, across worker counts, and
 //! an inert partition plan must change nothing at all.
 
-use eecs::core::config::EecsConfig;
-use eecs::core::simulation::{OperatingMode, Parallelism, Simulation, SimulationConfig};
+use eecs::core::simulation::{Parallelism, Simulation};
 use eecs::core::telemetry::{summary, Telemetry};
-use eecs::detect::bank::DetectorBank;
-use eecs::net::fault::{ControllerFaultPlan, Endpoint, FaultPlan, PartitionPlan};
-use eecs::scene::dataset::{DatasetId, DatasetProfile};
+use eecs::net::fault::{ControllerFaultPlan, FaultPlan, PartitionPlan};
 use eecs::scene::sensor_fault::SensorFaultPlan;
+use eecs_bench::catalog::{self, two_islands, Rig};
 
-/// Rounds `[SPLIT_START, SPLIT_END)` run with the network split into
-/// {hub, cam 0, cam 1} and {cam 2, cam 3}.
+/// Four cameras over four rounds, prepared once for the whole binary.
+const RIG: Rig = Rig::LongMission;
+
+/// Rounds `[SPLIT_START, SPLIT_END)` of the catalog's `partition`
+/// scenario run with the network split into {hub, cam 0, cam 1} and
+/// {cam 2, cam 3}.
 const SPLIT_START: usize = 1;
 const SPLIT_END: usize = 3;
 
-fn two_islands() -> Vec<Vec<Endpoint>> {
-    vec![
-        vec![Endpoint::Hub, Endpoint::Camera(0), Endpoint::Camera(1)],
-        vec![Endpoint::Camera(2), Endpoint::Camera(3)],
-    ]
-}
-
+/// The rig over ideal links under an arbitrary partition plan.
 fn partition_simulation(plan: PartitionPlan) -> Simulation {
-    let mut profile = DatasetProfile::miniature(DatasetId::Lab);
-    profile.num_people = 4;
-    let eecs = EecsConfig {
-        assessment_period: 10,
-        recalibration_interval: 30,
-        key_frames: 8,
-        ..EecsConfig::default()
-    };
-    Simulation::prepare(
-        DetectorBank::train_quick(23).expect("bank"),
-        SimulationConfig {
-            profile,
-            cameras: 4,
-            start_frame: 40,
-            end_frame: 160,
-            budget_j_per_frame: 5.0,
-            mode: OperatingMode::FullEecs,
-            eecs,
-            feature_words: 12,
-            max_training_frames: 8,
-            boost_every: 0,
-            fault_plan: FaultPlan::ideal().with_partition(plan),
-            sensor_plan: SensorFaultPlan::ideal(),
-            controller_plan: ControllerFaultPlan::none(),
-            parallel: Parallelism::default(),
-        },
+    RIG.simulation().with_faults(
+        FaultPlan::ideal().with_partition(plan),
+        SensorFaultPlan::ideal(),
+        ControllerFaultPlan::none(),
     )
-    .expect("prepare")
 }
 
-fn split_plan() -> PartitionPlan {
-    PartitionPlan::none().with_split(two_islands(), SPLIT_START, SPLIT_END)
+/// The catalog's `partition` scenario over ideal links.
+fn split_simulation() -> Simulation {
+    catalog::partition(RIG, FaultPlan::ideal())
 }
 
 #[test]
 fn two_island_split_elects_one_acting_seat_and_heals_to_one() {
     let tel = Telemetry::recording(8192);
-    let report = partition_simulation(split_plan())
+    let report = split_simulation()
         .with_telemetry(tel.clone())
         .run()
         .expect("partitioned run completes");
@@ -117,7 +91,7 @@ fn two_island_split_elects_one_acting_seat_and_heals_to_one() {
 
 #[test]
 fn partitioned_run_replays_bit_exactly() {
-    let sim = partition_simulation(split_plan());
+    let sim = split_simulation();
     let run = || {
         let tel = Telemetry::recording(8192);
         let report = sim
@@ -138,7 +112,7 @@ fn partitioned_run_replays_bit_exactly() {
 
 #[test]
 fn serial_and_parallel_partition_runs_are_identical() {
-    let sim = partition_simulation(split_plan());
+    let sim = split_simulation();
     let parallel = sim.run().expect("parallel run");
     let serial = sim
         .with_parallelism(Parallelism::serial())
@@ -169,8 +143,9 @@ fn inert_partition_plans_change_nothing() {
 fn flapping_split_elects_once_per_dark_window() {
     // On for round 1, off for round 2, on again for round 3 (the last
     // round of the run — the second episode never heals).
-    let plan = PartitionPlan::none().with_flapping(two_islands(), 1, 4, 1);
-    let report = partition_simulation(plan).run().expect("flapping run");
+    let report = catalog::flapping(RIG, FaultPlan::ideal())
+        .run()
+        .expect("flapping run");
     // Each on-window orphans somebody afresh: round 1 elects an acting
     // seat for {2, 3}; the round-2 heal adopts its higher epoch (demoting
     // the hub), so the round-3 flap orphans the *hub* island, which

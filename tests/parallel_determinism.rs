@@ -5,12 +5,10 @@
 //! the exact serial order, so every battery drain, meter record, and
 //! radio send replays identically.
 
-use eecs::core::config::EecsConfig;
-use eecs::core::simulation::{OperatingMode, Parallelism, Simulation, SimulationConfig};
-use eecs::detect::bank::DetectorBank;
+use eecs::core::simulation::{Parallelism, Simulation};
 use eecs::net::fault::{ControllerFaultPlan, FaultPlan, LinkFaults};
-use eecs::scene::dataset::{DatasetId, DatasetProfile};
 use eecs::scene::sensor_fault::{SensorFaultPlan, SensorImpairments};
+use eecs_bench::catalog::Rig;
 
 /// The camera whose device is crashed for the whole run.
 const CRASHED: usize = 3;
@@ -29,35 +27,17 @@ fn sensor_plan() -> SensorFaultPlan {
         .with_occlusion(1, 40, 80, 0.25)
 }
 
+/// The catalog's four-camera, two-round rig (prepared once for every
+/// variant) under the chaos above and a controller crash at round 1.
 fn simulation(parallel: Parallelism) -> Simulation {
-    let mut profile = DatasetProfile::miniature(DatasetId::Lab);
-    profile.num_people = 4;
-    let eecs = EecsConfig {
-        assessment_period: 10,
-        recalibration_interval: 30,
-        key_frames: 8,
-        ..EecsConfig::default()
-    };
-    Simulation::prepare(
-        DetectorBank::train_quick(23).expect("bank"),
-        SimulationConfig {
-            profile,
-            cameras: 4,
-            start_frame: 40,
-            end_frame: 100,
-            budget_j_per_frame: 5.0,
-            mode: OperatingMode::FullEecs,
-            eecs,
-            feature_words: 12,
-            max_training_frames: 8,
-            boost_every: 0,
-            fault_plan: chaos_plan(),
-            sensor_plan: sensor_plan(),
-            controller_plan: ControllerFaultPlan::none().with_crash(1, 2),
-            parallel,
-        },
-    )
-    .expect("prepare")
+    Rig::Mission
+        .simulation()
+        .with_faults(
+            chaos_plan(),
+            sensor_plan(),
+            ControllerFaultPlan::none().with_crash(1, 2),
+        )
+        .with_parallelism(parallel)
 }
 
 #[test]

@@ -2,16 +2,12 @@
 
 use eecs::core::accuracy::combined_probability;
 use eecs::core::checkpoint::CacheSlot;
-use eecs::core::config::EecsConfig;
 use eecs::core::controller::{CameraAssessment, QuarantineLedger, QuarantinePolicy};
 use eecs::core::jsonio::{self, Json};
 use eecs::core::metadata::CameraReport;
 use eecs::core::reconcile::{reconcile, SeatSnapshot};
-use eecs::core::simulation::{
-    OperatingMode, Parallelism, Simulation, SimulationConfig, SimulationReport,
-};
+use eecs::core::simulation::{Parallelism, Simulation, SimulationReport};
 use eecs::core::telemetry::{FlightRecorder, MetricsRegistry, TraceEvent};
-use eecs::detect::bank::DetectorBank;
 use eecs::detect::detection::AlgorithmId;
 use eecs::detect::detection::BBox;
 use eecs::detect::detection::Detection;
@@ -24,13 +20,11 @@ use eecs::linalg::Mat;
 use eecs::manifold::gfk::GeodesicFlowKernel;
 use eecs::manifold::subspace::Subspace;
 use eecs::manifold::video::VideoItem;
-use eecs::net::fault::{
-    ChurnPlan, ControllerFaultPlan, CorruptionPlan, Endpoint, FaultPlan, LinkFaults, PartitionPlan,
-};
-use eecs::scene::dataset::{DatasetId, DatasetProfile};
+use eecs::net::fault::{ChurnPlan, CorruptionPlan, Endpoint, FaultPlan, LinkFaults, PartitionPlan};
 use eecs::scene::sensor_fault::{SensorFaultPlan, SensorImpairments};
 use eecs::vision::image::RgbImage;
 use eecs_bench::artifacts::Artifacts;
+use eecs_bench::catalog::Rig;
 use eecs_bench::serving::service_base;
 use eecs_bench::Scale;
 use eecs_serve::{
@@ -38,7 +32,7 @@ use eecs_serve::{
     Priority, ServiceConfig,
 };
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 fn bbox_strategy() -> impl Strategy<Value = BBox> {
     (0.0..100.0f64, 0.0..100.0f64, 1.0..50.0f64, 1.0..50.0f64)
@@ -734,39 +728,9 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 /// Three cameras over three rounds: enough surface for joins, leaves,
-/// and departures to all land mid-run.
-fn churn_base() -> &'static Simulation {
-    static SIM: OnceLock<Simulation> = OnceLock::new();
-    SIM.get_or_init(|| {
-        let mut profile = DatasetProfile::miniature(DatasetId::Lab);
-        profile.num_people = 4;
-        let eecs = EecsConfig {
-            assessment_period: 10,
-            recalibration_interval: 30,
-            key_frames: 8,
-            ..EecsConfig::default()
-        };
-        Simulation::prepare(
-            DetectorBank::train_quick(23).expect("bank"),
-            SimulationConfig {
-                profile,
-                cameras: 3,
-                start_frame: 40,
-                end_frame: 130,
-                budget_j_per_frame: 5.0,
-                mode: OperatingMode::FullEecs,
-                eecs,
-                feature_words: 12,
-                max_training_frames: 8,
-                boost_every: 0,
-                fault_plan: FaultPlan::ideal(),
-                sensor_plan: SensorFaultPlan::ideal(),
-                controller_plan: ControllerFaultPlan::none(),
-                parallel: Parallelism::default(),
-            },
-        )
-        .expect("prepare")
-    })
+/// and departures to all land mid-run. Prepared once by the catalog.
+fn churn_base() -> Arc<Simulation> {
+    Rig::Trio.simulation()
 }
 
 /// The churn-free reference run, computed once.

@@ -3,17 +3,10 @@
 //! the mission going — degraded, never aborted — and the whole disaster
 //! must replay bit-for-bit from its seeds.
 
-use eecs::core::config::EecsConfig;
-use eecs::core::simulation::{OperatingMode, Parallelism, Simulation, SimulationConfig};
-use eecs::detect::bank::DetectorBank;
-use eecs::net::fault::{ControllerFaultPlan, FaultPlan, LinkFaults};
-use eecs::scene::dataset::{DatasetId, DatasetProfile};
+use eecs::core::simulation::Simulation;
+use eecs::net::fault::{ControllerFaultPlan, FaultPlan};
 use eecs::scene::sensor_fault::{SensorFaultPlan, SensorImpairments};
-
-/// Round the controller crash window opens at. The miniature run below
-/// spans two rounds, so this is the last one — the recovery has no later
-/// round to hide in.
-const CRASH_ROUND: usize = 1;
+use eecs_bench::catalog::{self, Rig, CRASH_ROUND};
 
 fn sensor_plan(seed: u64) -> SensorFaultPlan {
     // Moderate corruption everywhere, debris on camera 1's lens, and a
@@ -36,35 +29,16 @@ fn sensor_plan(seed: u64) -> SensorFaultPlan {
         .with_occlusion(1, 40, 100, 0.2)
 }
 
+/// The catalog's four-camera, two-round rig (the crash window opens at
+/// its last round, so the recovery has no later round to hide in) under
+/// lossy links, the sensor plan above, and the scheduled controller
+/// crash.
 fn chaos_simulation(seed: u64) -> Simulation {
-    let mut profile = DatasetProfile::miniature(DatasetId::Lab);
-    profile.num_people = 4;
-    let eecs = EecsConfig {
-        assessment_period: 10,
-        recalibration_interval: 30,
-        key_frames: 8,
-        ..EecsConfig::default()
-    };
-    Simulation::prepare(
-        DetectorBank::train_quick(23).expect("bank"),
-        SimulationConfig {
-            profile,
-            cameras: 4,
-            start_frame: 40,
-            end_frame: 100,
-            budget_j_per_frame: 5.0,
-            mode: OperatingMode::FullEecs,
-            eecs,
-            feature_words: 12,
-            max_training_frames: 8,
-            boost_every: 0,
-            fault_plan: FaultPlan::seeded(seed).with_default_faults(LinkFaults::lossy(0.2)),
-            sensor_plan: sensor_plan(seed),
-            controller_plan: ControllerFaultPlan::none().with_crash(CRASH_ROUND, CRASH_ROUND + 1),
-            parallel: Parallelism::default(),
-        },
+    Rig::Mission.simulation().with_faults(
+        catalog::lossy_links(seed, 0.2),
+        sensor_plan(seed),
+        catalog::controller_crash(),
     )
-    .expect("prepare")
 }
 
 #[test]

@@ -6,48 +6,10 @@
 //! merge must match the single-worker reference byte for byte, and every
 //! f64 inside must match bit for bit.
 
-use eecs::core::config::EecsConfig;
 use eecs::core::jsonio::{self, Json};
-use eecs::core::simulation::{OperatingMode, Parallelism, Simulation, SimulationConfig};
-use eecs::detect::bank::DetectorBank;
-use eecs::scene::dataset::{DatasetId, DatasetProfile};
+use eecs::core::simulation::Parallelism;
+use eecs_bench::catalog::Rig;
 use eecs_bench::sweep::{run_sweep, JobOrder, Shard, SweepOptions, SweepSpec};
-use std::sync::OnceLock;
-
-/// One prepared miniature simulation shared by every run in this file.
-fn base_simulation() -> &'static Simulation {
-    static SIM: OnceLock<Simulation> = OnceLock::new();
-    SIM.get_or_init(|| {
-        let bank = DetectorBank::train_quick(9).expect("bank training");
-        let mut profile = DatasetProfile::miniature(DatasetId::Lab);
-        profile.num_people = 4;
-        Simulation::prepare(
-            bank,
-            SimulationConfig {
-                profile,
-                cameras: 2,
-                start_frame: 40,
-                end_frame: 70,
-                budget_j_per_frame: 10.0,
-                mode: OperatingMode::FullEecs,
-                eecs: EecsConfig {
-                    assessment_period: 10,
-                    recalibration_interval: 30,
-                    key_frames: 8,
-                    ..EecsConfig::default()
-                },
-                feature_words: 12,
-                max_training_frames: 8,
-                boost_every: 0,
-                fault_plan: eecs::net::fault::FaultPlan::ideal(),
-                sensor_plan: eecs::scene::sensor_fault::SensorFaultPlan::ideal(),
-                controller_plan: eecs::net::fault::ControllerFaultPlan::none(),
-                parallel: Parallelism::serial(),
-            },
-        )
-        .expect("simulation preparation")
-    })
-}
 
 fn grid_shard() -> Shard<'static> {
     let spec = SweepSpec::new("det_grid")
@@ -56,7 +18,11 @@ fn grid_shard() -> Shard<'static> {
     Shard::new(spec, |job| {
         let budget: f64 = job.value("budget").unwrap().parse().unwrap();
         let seed: u64 = job.value("fault_seed").unwrap().parse().unwrap();
-        let report = base_simulation()
+        // The catalog's sweep rig (one prepare per binary), each cell
+        // run serially inside the sweep's own worker pool.
+        let report = Rig::Sweep
+            .simulation()
+            .with_parallelism(Parallelism::serial())
             .with_budget(budget)
             .map_err(|e| e.to_string())?
             .with_faults(

@@ -4,50 +4,13 @@
 //! telemetry counters accumulated across both runs — no completed cell
 //! ever re-executes.
 
-use eecs::core::config::EecsConfig;
 use eecs::core::jsonio::Json;
-use eecs::core::simulation::{OperatingMode, Parallelism, Simulation, SimulationConfig};
+use eecs::core::simulation::Parallelism;
 use eecs::core::telemetry::Telemetry;
-use eecs::detect::bank::DetectorBank;
-use eecs::scene::dataset::{DatasetId, DatasetProfile};
+use eecs_bench::catalog::Rig;
 use eecs_bench::sweep::{run_sweep, JobOrder, Shard, SweepOptions, SweepSpec};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::OnceLock;
-
-fn base_simulation() -> &'static Simulation {
-    static SIM: OnceLock<Simulation> = OnceLock::new();
-    SIM.get_or_init(|| {
-        let bank = DetectorBank::train_quick(9).expect("bank training");
-        let mut profile = DatasetProfile::miniature(DatasetId::Lab);
-        profile.num_people = 4;
-        Simulation::prepare(
-            bank,
-            SimulationConfig {
-                profile,
-                cameras: 2,
-                start_frame: 40,
-                end_frame: 70,
-                budget_j_per_frame: 10.0,
-                mode: OperatingMode::FullEecs,
-                eecs: EecsConfig {
-                    assessment_period: 10,
-                    recalibration_interval: 30,
-                    key_frames: 8,
-                    ..EecsConfig::default()
-                },
-                feature_words: 12,
-                max_training_frames: 8,
-                boost_every: 0,
-                fault_plan: eecs::net::fault::FaultPlan::ideal(),
-                sensor_plan: eecs::scene::sensor_fault::SensorFaultPlan::ideal(),
-                controller_plan: eecs::net::fault::ControllerFaultPlan::none(),
-                parallel: Parallelism::serial(),
-            },
-        )
-        .expect("simulation preparation")
-    })
-}
 
 fn spec() -> SweepSpec {
     SweepSpec::new("resume_grid")
@@ -59,7 +22,11 @@ fn grid_shard() -> Shard<'static> {
     Shard::new(spec(), |job| {
         let budget: f64 = job.value("budget").unwrap().parse().unwrap();
         let seed: u64 = job.value("fault_seed").unwrap().parse().unwrap();
-        let report = base_simulation()
+        // The catalog's sweep rig (one prepare per binary), each cell
+        // run serially inside the sweep's own worker pool.
+        let report = Rig::Sweep
+            .simulation()
+            .with_parallelism(Parallelism::serial())
             .with_budget(budget)
             .map_err(|e| e.to_string())?
             .with_faults(
